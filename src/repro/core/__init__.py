@@ -7,7 +7,12 @@ Quick tour
 >>> p = AppParams(f=0.999, fcon_share=0.60, fored_share=0.10)
 >>> round(float(merging.speedup_symmetric(p, n=256, r=4)), 1)  # paper: 104.5
 104.6
+
+``core.fitting`` (scipy least squares) is loaded on first attribute access,
+so importing the package does not import scipy.
 """
+
+import importlib
 
 from repro.core import (
     accuracy,
@@ -17,7 +22,6 @@ from repro.core import (
     communication,
     critical,
     energy,
-    fitting,
     gridkernels,
     growth,
     hill_marty,
@@ -76,3 +80,10 @@ __all__ = [
     "resolve_growth",
     "resolve_perf_law",
 ]
+
+
+def __getattr__(name: str):
+    # fitting imports scipy.optimize; load it on first access only
+    if name == "fitting":
+        return importlib.import_module(f"{__name__}.fitting")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

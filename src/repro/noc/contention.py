@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.communication import CommGrowth
-from repro.noc.routing import path_link_loads
+from repro.noc.routing import xy_link_loads
 from repro.noc.topology import Mesh2D
+from repro.util.validation import check_positive_int
 
 __all__ = [
     "TrafficAnalysis",
@@ -76,50 +77,54 @@ class TrafficAnalysis:
         return float(self.max_link_load)
 
 
-def gather_pattern(mesh: Mesh2D, master: int = 0, x: int = 1) -> list[tuple[int, int]]:
+def gather_pattern(mesh: Mesh2D, master: int = 0, x: int = 1) -> np.ndarray:
     """The serial reduction's traffic: every node sends ``x`` partial
-    elements to the master (Algorithm 1's communication side)."""
+    elements to the master (Algorithm 1's communication side).
+
+    Returns an ``(n_transfers, 2)`` array of ``(src, dst)`` rows.
+    """
     mesh.validate_node(master)
-    return [
-        (src, master)
-        for src in range(mesh.n_nodes)
-        if src != master
-        for _ in range(x)
-    ]
+    x = check_positive_int(x, "x")
+    src = np.repeat(np.delete(np.arange(mesh.n_nodes, dtype=np.int64), master), x)
+    return np.column_stack((src, np.full_like(src, master)))
 
 
-def all_to_all_pattern(mesh: Mesh2D, x: int = 1) -> list[tuple[int, int]]:
+def all_to_all_pattern(mesh: Mesh2D, x: int = 1) -> np.ndarray:
     """The privatised parallel reduction's traffic: every node sends its
     slice of every partial to the slice owners (Section V.E's
-    ``(nc−1)·x`` exchange, here one element per ordered pair when x = 1)."""
-    return [
-        (src, dst)
-        for src in range(mesh.n_nodes)
-        for dst in range(mesh.n_nodes)
-        if src != dst
-        for _ in range(x)
-    ]
+    ``(nc−1)·x`` exchange, here one element per ordered pair when x = 1).
+
+    Returns an ``(n_transfers, 2)`` array of ``(src, dst)`` rows.
+    """
+    x = check_positive_int(x, "x")
+    n = mesh.n_nodes
+    src, dst = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    keep = src != dst
+    return np.repeat(np.column_stack((src[keep], dst[keep])), x, axis=0)
 
 
-def analyse_pattern(mesh: Mesh2D, pairs: list[tuple[int, int]]) -> TrafficAnalysis:
+def analyse_pattern(
+    mesh: Mesh2D, pairs: np.ndarray | list[tuple[int, int]]
+) -> TrafficAnalysis:
     """Route a pattern with XY routing and collect link-load statistics."""
-    loads = path_link_loads(mesh, pairs)
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    h, v = xy_link_loads(mesh, ends[:, 0], ends[:, 1])
     total_links = mesh.link_count()
-    if not loads:
+    total = int(h.sum() + v.sum())
+    if total == 0:
         return TrafficAnalysis(
             n_nodes=mesh.n_nodes, total_transfers=0, max_link_load=0,
             mean_link_load=0.0, busy_links=0, total_links=total_links,
         )
-    values = np.array(list(loads.values()), dtype=np.int64)
     return TrafficAnalysis(
         n_nodes=mesh.n_nodes,
-        total_transfers=int(values.sum()),
-        max_link_load=int(values.max()),
+        total_transfers=total,
+        max_link_load=int(max(h.max(initial=0), v.max(initial=0))),
         # bidirectional-capacity convention (2 directed slots per
         # undirected link), same denominator as uniform_time — so
         # imbalance == bottleneck_time / uniform_time
-        mean_link_load=float(values.sum() / (2 * total_links)),
-        busy_links=len(loads),
+        mean_link_load=float(total / (2 * total_links)),
+        busy_links=int(np.count_nonzero(h) + np.count_nonzero(v)),
         total_links=total_links,
     )
 
@@ -136,6 +141,7 @@ def contended_growcomm(pattern: str = "all_to_all", x: int = 1) -> CommGrowth:
         raise ValueError(
             f"pattern must be 'gather' or 'all_to_all', got {pattern!r}"
         )
+    x = check_positive_int(x, "x")
     cache: dict[int, float] = {}
 
     def fn(nc_arr: np.ndarray) -> np.ndarray:

@@ -66,14 +66,12 @@ class Topology(ABC):
         in the tests).
         """
         n = self.n_nodes
-        if n == 1:
-            return 0.0
         total = 0
         for s in range(n):
             for d in range(n):
                 if s != d:
                     total += self.hop_distance(s, d)
-        return total / (n * (n - 1))
+        return _mean_over_pairs(n, total)
 
     def validate_node(self, node: int) -> int:
         """Bounds-check a node id."""
@@ -83,6 +81,32 @@ class Topology(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n_nodes={self.n_nodes})"
+
+
+def _mean_over_pairs(n: int, total: int) -> float:
+    """Mean of an exact integer hop sum over the ``n·(n−1)`` ordered pairs
+    of distinct nodes; the enumeration and every closed form divide here,
+    so they agree to the last bit."""
+    if n == 1:
+        return 0.0
+    return total / (n * (n - 1))
+
+
+def _line_sum(k: int) -> int:
+    """Σ|i−j| over ordered pairs of positions on a line of ``k``."""
+    return (k * k * k - k) // 3
+
+
+def _cycle_sum(k: int) -> int:
+    """Σ min(d, k−d) over ordered pairs on a cycle of ``k``: every
+    position sees the same distances, which sum to ⌊k²/4⌋."""
+    return k * (k * k // 4)
+
+
+def _cycle_links(k: int) -> int:
+    """Undirected links of a ``k``-cycle; a 2-cycle's wraparound link is
+    its only link."""
+    return 0 if k == 1 else 1 if k == 2 else k
 
 
 @dataclass(frozen=True)
@@ -153,11 +177,11 @@ class Mesh2D(Topology):
         return abs(r1 - r2) + abs(c1 - c2)
 
     def average_hops(self) -> float:
-        # closed form: E|Δrow| + E|Δcol| with E|Δ| = (k²−1)/(3k) per axis of
-        # size k, over ordered pairs of distinct nodes; fall back to the
-        # generic exact computation (cheap at CMP scales) to avoid a second
-        # formula to maintain.
-        return super().average_hops()
+        # closed form: each ordered pair of rows is shared by C² ordered
+        # node pairs and each pair of columns by R², so the exact hop sum
+        # is C²·S(R) + R²·S(C) with S(k) = Σ|i−j| = (k³−k)/3 per axis.
+        r, c = self.rows, self.cols
+        return _mean_over_pairs(self.n_nodes, c * c * _line_sum(r) + r * r * _line_sum(c))
 
 
 class Torus2D(Topology):
@@ -194,11 +218,20 @@ class Torus2D(Topology):
                     seen.add((min(u, v), max(u, v)))
         yield from sorted(seen)
 
+    def link_count(self) -> int:
+        # every row and every column is a cycle
+        return self.rows * _cycle_links(self.cols) + self.cols * _cycle_links(self.rows)
+
     def hop_distance(self, src: int, dst: int) -> int:
         (r1, c1), (r2, c2) = self.coords(src), self.coords(dst)
         dr = abs(r1 - r2)
         dc = abs(c1 - c2)
         return min(dr, self.rows - dr) + min(dc, self.cols - dc)
+
+    def average_hops(self) -> float:
+        # the mesh's closed form with wrapped per-axis sums
+        r, c = self.rows, self.cols
+        return _mean_over_pairs(self.n_nodes, c * c * _cycle_sum(r) + r * r * _cycle_sum(c))
 
 
 class Ring(Topology):
@@ -215,11 +248,17 @@ class Ring(Topology):
             v = (u + 1) % n
             yield tuple(sorted((u, v)))  # type: ignore[misc]
 
+    def link_count(self) -> int:
+        return _cycle_links(self.n_nodes)
+
     def hop_distance(self, src: int, dst: int) -> int:
         self.validate_node(src)
         self.validate_node(dst)
         d = abs(src - dst)
         return min(d, self.n_nodes - d)
+
+    def average_hops(self) -> float:
+        return _mean_over_pairs(self.n_nodes, _cycle_sum(self.n_nodes))
 
 
 class Hypercube(Topology):
@@ -273,10 +312,17 @@ class FullyConnected(Topology):
             for v in range(u + 1, self.n_nodes):
                 yield (u, v)
 
+    def link_count(self) -> int:
+        return self.n_nodes * (self.n_nodes - 1) // 2
+
     def hop_distance(self, src: int, dst: int) -> int:
         self.validate_node(src)
         self.validate_node(dst)
         return 0 if src == dst else 1
+
+    def average_hops(self) -> float:
+        n = self.n_nodes
+        return _mean_over_pairs(n, n * (n - 1))
 
 
 _NAMED = {

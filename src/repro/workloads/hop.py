@@ -23,8 +23,10 @@ along the first axis, as N-body codes do) so each thread owns a spatially
 coherent region and cross-partition edges scale with the number of slab
 boundaries rather than saturating immediately.
 
-The numerics use :class:`scipy.spatial.cKDTree` for neighbour queries; the
-grouping result is independent of the thread count.
+The numerics use :class:`scipy.spatial.cKDTree` for neighbour queries,
+imported when the tree is built so that importing the workload registry
+does not load scipy; the grouping result is independent of the thread
+count.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.util.validation import check_positive_int
 from repro.workloads.base import (
@@ -128,6 +129,8 @@ class HopWorkload(ClusteringWorkloadBase):
         # each thread builds its subtree ((n/p)·levels work) but the top
         # log2(p) split levels scan the whole input on every participating
         # thread — the non-scaling term that caps hop's speedup (~13.5@16).
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(ds.positions)
         top_levels = max(1, int(np.ceil(np.log2(n_threads)))) if n_threads > 1 else 0
         tree_instr = tuple(

@@ -4,7 +4,10 @@ hardware-model work must *declare* that work as pipeline units.
 The enforcement is mechanical rather than a hand-maintained list: warm
 every declared unit of every declaring experiment, then forbid the
 inline execution paths (``Machine.run`` and the hardware executors) and
-assemble all registered experiments.  A driver that sneaks simulator or
+assemble all registered experiments.  Per-path NoC routing
+(``repro.noc.routing.xy_route``) is forbidden too: the contention and
+topology reports derive link loads and hop sums from array kernels and
+closed forms, and must not fall back to routing every pair in Python.  A driver that sneaks simulator or
 hardware work past its declare stage — or a new experiment added without
 one — trips the guard, naming the experiment.
 """
@@ -49,8 +52,9 @@ class InlineSimulationForbidden(AssertionError):
 
 def _forbid(*args, **kwargs):
     raise InlineSimulationForbidden(
-        "assemble phase invoked the simulator/hardware inline; "
-        "this work must be declared as pipeline units"
+        "assemble phase invoked the simulator/hardware or per-path "
+        "routing inline; this work must be declared as pipeline units "
+        "or computed by an array kernel"
     )
 
 
@@ -76,8 +80,10 @@ def warmed(tmp_path_factory):
 @pytest.fixture
 def no_inline_simulation(warmed, monkeypatch):
     import repro.hardware.executor as hwexec
+    import repro.noc.routing as routing
 
     monkeypatch.setattr(Machine, "run", _forbid)
+    monkeypatch.setattr(routing, "xy_route", _forbid)
     monkeypatch.setattr(hwexec, "model_breakdown", _forbid)
     monkeypatch.setattr(hwexec, "process_breakdown", _forbid)
 

@@ -26,6 +26,13 @@ class TestPatterns:
         with pytest.raises(ValueError):
             gather_pattern(Mesh2D(4), master=4)
 
+    @pytest.mark.parametrize("x", [0, -1])
+    def test_patterns_reject_non_positive_x(self, x):
+        with pytest.raises(ValueError, match="x must be >= 1"):
+            gather_pattern(Mesh2D(4), 0, x=x)
+        with pytest.raises(ValueError, match="x must be >= 1"):
+            all_to_all_pattern(Mesh2D(4), x=x)
+
 
 class TestAnalysis:
     def test_gather_is_heavily_imbalanced(self):
@@ -124,3 +131,17 @@ class TestContendedGrowcomm:
     def test_unknown_pattern(self):
         with pytest.raises(ValueError):
             contended_growcomm("ring-around-the-rosie")
+
+    @pytest.mark.parametrize("pattern", ["gather", "all_to_all"])
+    @pytest.mark.parametrize("x", [0, -1])
+    def test_rejects_non_positive_x_at_construction(self, pattern, x):
+        # rejected up front: x=0 would divide by zero on first evaluation
+        # and a negative x would price communication at -0.0
+        with pytest.raises(ValueError, match="x must be >= 1"):
+            contended_growcomm(pattern, x=x)
+
+    def test_x_normalises_per_element(self):
+        one = contended_growcomm("gather", x=1)
+        three = contended_growcomm("gather", x=3)
+        nc = np.array([4.0, 16.0, 64.0])
+        assert np.array_equal(one(nc), three(nc))
