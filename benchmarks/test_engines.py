@@ -1,17 +1,17 @@
-"""Engine regression benchmarks: fast and batch vs the reference engine.
+"""Engine regression benchmarks: the batch engine vs the reference engine.
 
-Three trace shapes, each run through all three engines (``reference``,
-the fused ``fast`` path, and the lockstep ``batch`` interpreter) so the
+Three trace shapes, each run through both engines (the op-at-a-time
+``reference`` interpreter and the lockstep ``batch`` engine) so the
 harness (`scripts/run_bench.py`) can compute the speedup ratios it
 records in ``BENCH_simx.json``:
 
 * **private-burst** — long runs of thread-private Compute/Load/Store, the
-  shape the fused engines exist for (fast acceptance bar: >= 3x);
+  shape the batch engine exists for (acceptance bar: >= 3x);
 * **shared-heavy** — mostly shared lines, so almost nothing fuses; the
-  optimised engines must not regress this (compilation overhead stays
+  batch engine must not regress this (compilation overhead stays
   negligible);
 * **kmeans-mix** — a real workload trace at sweep scale, the honest
-  end-to-end number (batch acceptance bar: >= 2x over fast).
+  end-to-end number (acceptance bar: >= 2x).
 
 Each test stores the trace's op count in ``benchmark.extra_info`` so
 ops/sec can be derived from the benchmark JSON.
@@ -76,47 +76,43 @@ def kmeans_mix_program(p: int = 8) -> TraceProgram:
     return program_from_execution(wl.execute(p), mem_scale=2)
 
 
-ENGINE_KNOBS = {
-    "fast": dict(fast_path=True, batch_path=False),
-    "reference": dict(fast_path=False, batch_path=False),
-    "batch": dict(batch_path=True),
-}
+ENGINES = ("reference", "batch")
 
 
 def _bench(benchmark, prog: TraceProgram, engine: str, n_cores: int = 16):
-    machine = Machine(MachineConfig(n_cores=n_cores, **ENGINE_KNOBS[engine]))
+    machine = Machine(MachineConfig(n_cores=n_cores))
     benchmark.extra_info["n_ops"] = _count_ops(prog)
     benchmark.extra_info["engine"] = engine
-    result = benchmark(machine.run, prog)
+    run = machine.run_reference if engine == "reference" else machine.run
+    result = benchmark(run, prog)
     assert result.engine == engine
     assert result.total_cycles > 0
     return result
 
 
-@pytest.mark.parametrize("engine", list(ENGINE_KNOBS))
+@pytest.mark.parametrize("engine", ENGINES)
 def test_private_burst(benchmark, engine):
     _bench(benchmark, private_burst_program(), engine)
 
 
-@pytest.mark.parametrize("engine", list(ENGINE_KNOBS))
+@pytest.mark.parametrize("engine", ENGINES)
 def test_shared_heavy(benchmark, engine):
     _bench(benchmark, shared_heavy_program(), engine)
 
 
-@pytest.mark.parametrize("engine", list(ENGINE_KNOBS))
+@pytest.mark.parametrize("engine", ENGINES)
 def test_kmeans_mix(benchmark, engine):
     _bench(benchmark, kmeans_mix_program(), engine)
 
 
 def test_all_engines_agree():
-    """Guard (also with --benchmark-disable): all engines, same results."""
+    """Guard (also with --benchmark-disable): both engines, same results."""
+    machine = Machine(MachineConfig(n_cores=16))
     for prog in (private_burst_program(n_rounds=60),
                  shared_heavy_program(n_rounds=60)):
-        ref = Machine(MachineConfig(n_cores=16, fast_path=False)).run(prog)
-        for engine, knobs in ENGINE_KNOBS.items():
-            if engine == "reference":
-                continue
-            got = Machine(MachineConfig(n_cores=16, **knobs)).run(prog)
-            assert got.total_cycles == ref.total_cycles
-            assert got.thread_cycles == ref.thread_cycles
-            assert got.coherence == ref.coherence
+        ref = machine.run_reference(prog)
+        got = machine.run(prog)
+        assert got.engine == "batch"
+        assert got.total_cycles == ref.total_cycles
+        assert got.thread_cycles == ref.thread_cycles
+        assert got.coherence == ref.coherence

@@ -2,8 +2,8 @@
 """Benchmark regression harness: run the suite, emit ``BENCH_simx.json``.
 
 Runs the pytest-benchmark suites (``benchmarks/test_throughput.py``,
-``benchmarks/test_fastpath.py`` and ``benchmarks/test_obs_overhead.py``),
-derives simulated ops/sec, the fast-path speedup ratios and the
+``benchmarks/test_engines.py`` and ``benchmarks/test_obs_overhead.py``),
+derives simulated ops/sec, the batch-engine speedup ratios and the
 observability overhead, times a simulator sweep cold vs disk-warm,
 measures the ``runall`` precompute pass (cross-experiment unit dedup
 ratio and cold-vs-warm resolve wall-clock), and writes everything to
@@ -26,8 +26,8 @@ when ``--check-against`` is given — gates serve QPS against the
 committed ``BENCH_serve.json`` next to the baseline file.  ``--metrics-out`` additionally runs a small
 instrumented sweep and writes its ``repro.obs`` metrics + spans as
 JSONL (readable with ``repro stats``).  ``--fuzz-iters N`` first runs N
-seeded random trace programs (``tests.differential.gen``) through all
-three simulator engines and asserts cycle-identity — a fast
+seeded random trace programs (``tests.differential.gen``) through both
+simulator engines and asserts cycle-identity — a fast
 correctness screen before trusting the perf numbers.  ``--distributed``
 additionally times one fixed sweep batch executed by 1 and then 2
 ``repro worker`` subprocesses over localhost (the remote backend's
@@ -61,7 +61,7 @@ def run_pytest_benchmarks(quick: bool) -> dict:
     cmd = [
         sys.executable, "-m", "pytest",
         str(REPO / "benchmarks" / "test_throughput.py"),
-        str(REPO / "benchmarks" / "test_fastpath.py"),
+        str(REPO / "benchmarks" / "test_engines.py"),
         str(REPO / "benchmarks" / "test_obs_overhead.py"),
         "-q", "-p", "no:cacheprovider",
         "--benchmark-only",
@@ -94,8 +94,9 @@ def summarise(bench_json: dict) -> dict:
     return rows
 
 
-def _ratio(rows: dict, stem: str, engine: str = "fast") -> "float | None":
-    new = rows.get(f"{stem}[{engine}]")
+def _ratio(rows: dict, stem: str) -> "float | None":
+    """Batch-engine ops/sec over the reference engine's for one shape."""
+    new = rows.get(f"{stem}[batch]")
     ref = rows.get(f"{stem}[reference]")
     if not (new and ref and "ops_per_sec" in new and "ops_per_sec" in ref):
         return None
@@ -112,23 +113,23 @@ def _grid_speedup(rows: dict) -> "float | None":
 
 
 def run_fuzz(iters: int) -> dict:
-    """N generated trace programs through all three engines, asserting
+    """N generated trace programs through both engines, asserting
     cycle-identity (the differential harness's seed corpus, re-usable as
     a pre-benchmark correctness screen)."""
     sys.path.insert(0, str(REPO))
+    from tests.differential.engines import assert_identical, run_ref_and_batch
     from tests.differential.gen import MIXES, generate_program
-    from tests.differential.test_engine_identity import _CONFIG_RING, run_three
-    from tests.simx.test_fastpath_differential import assert_identical
+    from tests.differential.test_engine_identity import _CONFIG_RING
 
     t0 = time.perf_counter()
     for seed in range(iters):
         mix = MIXES[seed % len(MIXES)]
         config_name, cfg = _CONFIG_RING[seed % len(_CONFIG_RING)]
         program = generate_program(seed, mix)
-        ref, fast, bat = run_three(cfg, program)
+        ref, bat = run_ref_and_batch(program, cfg)
         why = f"fuzz seed={seed} mix={mix} config={config_name}"
-        assert ref.n_ops == fast.n_ops == bat.n_ops, why
-        assert_identical(fast, ref)
+        assert bat.engine == "batch", why
+        assert ref.n_ops == bat.n_ops, why
         assert_identical(bat, ref)
     dt = time.perf_counter() - t0
     return {
@@ -348,22 +349,21 @@ def time_sched(quick: bool = False) -> dict:
     sys.path.insert(0, str(REPO))
     from tests.differential.gen import MIXES, generate_program
 
-    base = replace(MachineConfig.baseline(n_cores=4),
-                   fast_path=False, batch_path=False)
+    base = MachineConfig.baseline(n_cores=4)
     n_programs = 8 if quick else 24
     programs = [generate_program(seed, MIXES[seed % len(MIXES)])
                 for seed in range(n_programs)]
 
     def rate(cfg):
         for prog in programs:  # untimed warmup pass
-            Machine(cfg).run(prog)
+            Machine(cfg).run_reference(prog)
         best = None
         ops = 0
         for _ in range(1 if quick else 3):
             ops = 0
             t0 = time.perf_counter()
             for prog in programs:
-                ops += Machine(cfg).run(prog).n_ops
+                ops += Machine(cfg).run_reference(prog).n_ops
             dt = time.perf_counter() - t0
             best = dt if best is None or dt < best else best
         return ops / best
@@ -453,7 +453,7 @@ def main(argv: "list[str] | None" = None) -> int:
     ap.add_argument("--metrics-out", metavar="FILE",
                     help="write repro.obs metrics JSONL from an instrumented sweep")
     ap.add_argument("--fuzz-iters", type=int, metavar="N", default=0,
-                    help="run N differential fuzz programs through all three "
+                    help="run N differential fuzz programs through both "
                          "engines before benchmarking")
     ap.add_argument("--serve", action="store_true",
                     help="also run the serve load benchmark "
@@ -475,7 +475,7 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.fuzz_iters:
         fuzz = run_fuzz(args.fuzz_iters)
         print(f"differential fuzz: {fuzz['iters']} programs cycle-identical "
-              f"across 3 engines ({fuzz['programs_per_sec']} programs/s)")
+              f"across both engines ({fuzz['programs_per_sec']} programs/s)")
 
     baseline = None
     if args.check_against:
@@ -489,20 +489,14 @@ def main(argv: "list[str] | None" = None) -> int:
     bench_json = run_pytest_benchmarks(args.quick)
     rows = summarise(bench_json)
     report = {
-        "schema": 3,
+        "schema": 4,
         "machine_info": bench_json.get("machine_info", {}).get("cpu", {}),
         "python": bench_json.get("machine_info", {}).get("python_version"),
         "benchmarks": rows,
-        "fastpath": {
+        "engines": {
             "private_burst_speedup": _ratio(rows, "test_private_burst"),
             "shared_heavy_ratio": _ratio(rows, "test_shared_heavy"),
             "kmeans_mix_speedup": _ratio(rows, "test_kmeans_mix"),
-            "private_burst_batch_speedup": _ratio(rows, "test_private_burst",
-                                                  "batch"),
-            "shared_heavy_batch_ratio": _ratio(rows, "test_shared_heavy",
-                                               "batch"),
-            "kmeans_mix_batch_speedup": _ratio(rows, "test_kmeans_mix",
-                                               "batch"),
         },
         "model_grid_speedup": _grid_speedup(rows),
         "obs": obs_overhead(rows),
@@ -533,7 +527,7 @@ def main(argv: "list[str] | None" = None) -> int:
         collect_metrics(Path(args.metrics_out))
         print(f"wrote obs metrics to {args.metrics_out}")
 
-    fp = report["fastpath"]
+    fp = report["engines"]
     print(f"\nwrote {out}")
     for k, v in fp.items():
         print(f"  {k:28} {v:.2f}x" if v else f"  {k:28} n/a")
@@ -581,15 +575,12 @@ def main(argv: "list[str] | None" = None) -> int:
             print(f"FAIL: {f}")
         ok = False
     if fp["private_burst_speedup"] and fp["private_burst_speedup"] < 3.0:
-        print("FAIL: private-burst speedup below the 3x acceptance bar")
+        print("FAIL: batch engine below the 3x private-burst acceptance bar")
         ok = False
-    if fp["shared_heavy_ratio"] and fp["shared_heavy_ratio"] < 0.9:
-        print("FAIL: fast path regresses the shared-heavy benchmark")
-        ok = False
-    if fp["kmeans_mix_batch_speedup"] and fp["kmeans_mix_batch_speedup"] < 2.0:
+    if fp["kmeans_mix_speedup"] and fp["kmeans_mix_speedup"] < 2.0:
         print("FAIL: batch engine below the 2x kmeans-mix acceptance bar")
         ok = False
-    if fp["shared_heavy_batch_ratio"] and fp["shared_heavy_batch_ratio"] < 0.9:
+    if fp["shared_heavy_ratio"] and fp["shared_heavy_ratio"] < 0.9:
         print("FAIL: batch engine regresses the shared-heavy benchmark")
         ok = False
     if mg and mg < 5.0:

@@ -286,14 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--interconnect", choices=["bus", "mesh"], default="bus")
     sim_p.add_argument("--dram", choices=["flat", "banked"], default="flat")
     sim_p.add_argument("--protocol", choices=["mesi", "msi"], default="mesi")
-    sim_p.add_argument("--no-fast-path", action="store_true",
-                       help="force the op-at-a-time reference engine "
-                            "(the fused fast path is cycle-identical; "
-                            "this exists for cross-checking and timing)")
-    sim_p.add_argument("--batch-path", action="store_true",
-                       help="opt into the lockstep batch engine "
-                            "(cycle-identical; fastest on private-heavy "
-                            "traces; falls back where unsupported)")
     sim_p.add_argument("--scheduler", choices=["pinned", "round-robin", "acmp"],
                        default="pinned",
                        help="thread dispatch policy; non-pinned schedulers "
@@ -744,8 +736,6 @@ def main(argv: "list[str] | None" = None) -> int:
             interconnect=args.interconnect,
             dram=args.dram,
             coherence_protocol=args.protocol,
-            fast_path=not args.no_fast_path,
-            batch_path=args.batch_path,
             scheduler=args.scheduler,
             quantum=args.quantum,
             migration_cost=args.migration_cost,

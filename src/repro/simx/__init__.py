@@ -20,9 +20,8 @@ Typical use::
     result.phase_cycles("reduction")
 """
 
-from repro.simx.batch import supports_batch_path
+from repro.simx.batch import batch_fallback, supports_batch_path
 from repro.simx.config import CacheConfig, CoreConfig, MachineConfig
-from repro.simx.fastpath import supports_fast_path
 from repro.simx.machine import Machine, SimulationResult
 from repro.simx.sched import (
     AcmpScheduler,
@@ -69,7 +68,7 @@ __all__ = [
     "RoundRobinScheduler",
     "AcmpScheduler",
     "build_scheduler",
+    "batch_fallback",
     "supports_batch_path",
-    "supports_fast_path",
     "supports_scheduling",
 ]

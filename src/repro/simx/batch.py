@@ -1,33 +1,45 @@
 """Lockstep batch execution: per-thread private segments between sync points.
 
-The fused fast path (:mod:`repro.simx.fastpath`) still pays a scheduler
-pass — a runnable scan plus a ``min`` over thread clocks — per burst *and*
-per non-burst op.  This module removes the scheduler from private work
-entirely: each thread's trace is compiled into a structure-of-arrays
-sequence of **segments** (maximal runs of thread-private ``Compute`` /
-``Load`` / ``Store``, with op kinds and arguments unpacked into parallel
-tuples, pure-compute runs additionally as a numpy array) separated by
-**sync points** (shared accesses, barriers, locks, phase-crossing ops
-never split a segment — phase markers are segment boundaries handled
-inline).  Execution then alternates two regimes:
+The reference interpreter (:meth:`repro.simx.machine.Machine.run_reference`)
+pays a scheduler pass — a runnable scan plus a ``min`` over thread clocks —
+a coherence-stats snapshot and Python dispatch per operation.  Most cycles
+in the paper's workloads come from long runs of *thread-private* work (a
+thread streaming its own point partition and partial buffers between
+synchronisation points) where none of that machinery can observe
+anything.  This module removes the scheduler from private work entirely:
+each thread's trace is compiled into a structure-of-arrays sequence of
+**segments** (maximal runs of thread-private ``Compute`` / ``Load`` /
+``Store``, with op kinds and arguments unpacked into parallel tuples,
+pure-compute runs additionally as a numpy array) separated by **sync
+points** (shared accesses, barriers, locks; phase markers are segment
+boundaries handled inline).  A line is *private* when exactly one thread
+accesses it anywhere in the program, *shared* otherwise.  Execution then
+alternates two regimes:
 
 * **eager epochs** — every runnable thread advances through its segments
   back-to-back with no scheduler involvement, charging busy cycles,
-  cache state and coherence counters through the private entry points of
-  :class:`~repro.simx.coherence.CoherenceController`, until it parks at
-  its next sync point (or bails on an eviction hazard);
+  cache state and coherence counters through an inlined private-line
+  copy of the protocol, until it parks at its next sync point (or bails
+  on an eviction hazard);
 * **global order** — among parked threads, sync ops execute one at a
   time in ``(clock, tid)`` order — exactly the reference scheduler's
   earliest-runnable-first order — through the full protocol paths.
 
 Why this is cycle- and stats-identical to the reference interleaving:
 
+* for a private line the directory can never name a remote owner or
+  sharer, so the remote-M transfer, silent-downgrade and invalidation
+  branches of :meth:`~repro.simx.coherence.CoherenceController.read` /
+  ``write`` are dead code and an access collapses to: L1 hit, or L1 miss
+  filled from L2 or memory;
 * a private line enters core C's L1 only through C's own accesses
   (remote ops invalidate/downgrade, never install; prefetching is gated
   off), so executing C's private ops *early* sees identical L1 state
-  unless the target set is full and holds a shared line — precisely the
-  case :meth:`~repro.simx.cache.Cache.fill_hazard` flags, upon which the
-  offending op is parked and executed at its exact global position;
+  unless the fill's target set is full and holds a valid shared line.
+  There both the victim choice and whether an eviction happens at all
+  depend on concurrent remote invalidations (a remote write may free the
+  way first in the reference interleaving), so the segment bails *before*
+  that op: it is parked and executed at its exact global position;
 * ``DirectoryEntry.in_l2`` is sticky, so L2-structural effects of
   reordered fills are unobservable in any reported counter.  Stronger:
   every ``l2.insert`` call site in the protocol also sets ``in_l2``, so
@@ -46,9 +58,11 @@ Why this is cycle- and stats-identical to the reference interleaving:
   (private timing is counter-exact), and the reference scheduler would
   pick the minimum-clock thread (ties to the lowest tid) next.
 
-The gates are the fast path's (stateless interconnect, flat DRAM, no
-prefetch) plus the ``batch_path`` opt-in knob; equivalence across all
-three engines is enforced by ``tests/differential/``.
+The argument needs execution order to be unobservable outside the L1s
+and the directory, so :func:`batch_fallback` gates the engine off under
+non-pinned dispatch, banked DRAM, next-line prefetch, a contended bus or
+a cycle watchdog; equivalence with the reference interpreter is enforced
+by ``tests/differential/``.
 """
 
 from __future__ import annotations
@@ -76,7 +90,10 @@ from repro.simx.trace import (
     Unlock,
 )
 
-__all__ = ["supports_batch_path", "compile_batch", "run_batch", "BatchProgram"]
+__all__ = [
+    "batch_fallback", "supports_batch_path", "compile_batch", "run_batch",
+    "BatchProgram",
+]
 
 #: vectorise the compute-cycle sum only past this run length — below it the
 #: numpy call costs more than the scalar loop.
@@ -85,26 +102,39 @@ _VEC_MIN = 8
 _COMPUTE, _LOAD, _STORE = 0, 1, 2
 
 
-def supports_batch_path(config: MachineConfig, max_cycles: "int | None" = None) -> bool:
-    """Whether the batch interpreter may run this configuration.
+def batch_fallback(config: MachineConfig, max_cycles: "int | None" = None) -> "str | None":
+    """The first gate that rules the batch engine out, or ``None``.
 
-    Requires the ``batch_path`` opt-in plus the same order-independence
-    gates as :func:`repro.simx.fastpath.supports_fast_path`: no cycle
-    watchdog (the eager epochs overshoot it), a stateless interconnect,
-    flat DRAM, no next-line prefetch, and pinned dispatch
-    (:func:`repro.simx.sched.supports_scheduling` — lockstep epochs assume
-    one thread per core).
+    Each gate names state that would make execution order observable:
+
+    * ``"scheduler"`` — a time-multiplexing policy interleaves threads on
+      shared cores (:func:`repro.simx.sched.supports_scheduling`);
+    * ``"dram"`` — the banked model's open-row state couples cores;
+    * ``"prefetch"`` — a next-line prefetch reaches into lines the
+      privacy analysis attributed to another thread;
+    * ``"bus_occupancy"`` — a contended bus serialises transactions in
+      global arrival order;
+    * ``"max_cycles"`` — the watchdog checks clocks between single ops,
+      which the eager epochs overshoot.
     """
     from repro.simx.sched import supports_scheduling
 
-    return (
-        config.batch_path
-        and max_cycles is None
-        and config.dram == "flat"
-        and not config.prefetch_next_line
-        and not (config.interconnect == "bus" and config.bus_occupancy > 0)
-        and supports_scheduling(config)
-    )
+    if not supports_scheduling(config):
+        return "scheduler"
+    if config.dram != "flat":
+        return "dram"
+    if config.prefetch_next_line:
+        return "prefetch"
+    if config.interconnect == "bus" and config.bus_occupancy > 0:
+        return "bus_occupancy"
+    if max_cycles is not None:
+        return "max_cycles"
+    return None
+
+
+def supports_batch_path(config: MachineConfig, max_cycles: "int | None" = None) -> bool:
+    """Whether the batch engine runs this configuration (no gate fails)."""
+    return batch_fallback(config, max_cycles) is None
 
 
 class _Seg:
@@ -137,9 +167,8 @@ class BatchProgram:
     """A program lowered for batch execution.
 
     ``thread_entries[tid]`` mixes :class:`_Seg` runs with phase markers
-    and sync ops; ``shared_lines`` is the eviction bail-out set.  The
-    burst accounting mirrors :class:`~repro.simx.fastpath.CompiledProgram`:
-    a multi-op segment counts as one burst.
+    and sync ops; ``shared_lines`` is the eviction bail-out set.  A
+    multi-op segment counts as one burst (``n_bursts`` / ``n_fused_ops``).
     """
 
     thread_entries: tuple
@@ -152,7 +181,7 @@ def compile_batch(program: TraceProgram, line_size: int) -> BatchProgram:
     """Lower a program into per-thread segment/sync streams."""
     op_lists = [list(t.ops) for t in program.threads]
 
-    # accessor analysis, as in fastpath.compile_program
+    # accessor analysis: who touches each line?
     owner: dict[int, int] = {}
     _SHARED = -1
     for tid, ops in enumerate(op_lists):
@@ -344,10 +373,10 @@ def run_batch(config: MachineConfig, program: TraceProgram):
                         busy += ceil(a / denom)
                         executed += 1
                         continue
-                    # inlined read_private / write_private: identical
-                    # decisions and latencies on the same L1 + directory
-                    # state, minus the per-op call/allocation overhead and
-                    # the (unobservable, see module docstring) L2 arrays
+                    # the protocol's read/write specialised to a private
+                    # line (see module docstring): identical decisions and
+                    # latencies on the same L1 + directory state, minus
+                    # the (unobservable) L2 arrays
                     line = a // line_size
                     set_idx = line % n_sets
                     s = l1_sets[set_idx]

@@ -121,28 +121,6 @@ class Cache:
         s[line_addr] = line
         return AccessResult(hit=False, state=state, evicted=evicted)
 
-    def fill_hazard(self, line_addr: int, watched) -> bool:
-        """Would inserting ``line_addr`` evict from a set that also holds
-        a *watched* line?
-
-        Pure (no state change) and conservative: the fast path bails out
-        of a fused burst whenever this is True, because with a watched
-        (shared) line resident in a full set, both the eviction *victim*
-        and whether an eviction happens at all depend on concurrent remote
-        invalidations — i.e. on the exact interleaving the burst elides.
-        A fill into a set with free ways, or into a set holding only
-        unwatched (thread-private) lines, is interleaving-independent.
-        """
-        s = self._sets[self.set_index(line_addr)]
-        stale = line_addr if line_addr in s else None
-        occupancy = len(s) - (1 if stale is not None else 0)
-        if occupancy < self.ways:
-            return False  # free way: a fill cannot evict anything
-        return any(
-            la != stale and line.state is not MesiState.INVALID and la in watched
-            for la, line in s.items()
-        )
-
     def set_state(self, line_addr: int, state: MesiState) -> None:
         """Change a resident line's coherence state (directory callbacks)."""
         s = self._sets[self.set_index(line_addr)]

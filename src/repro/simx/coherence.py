@@ -278,115 +278,6 @@ class CoherenceController:
         latency += self._install_l1(core, line, MesiState.MODIFIED)
         return latency
 
-    # ── fast path (repro.simx.fastpath) ──────────────────────────────────
-    #
-    # ``read_private`` / ``write_private`` are cycle- and counter-exact
-    # specialisations of :meth:`read` / :meth:`write` for lines the trace
-    # analysis proved *thread-private* (accessed by exactly one thread in
-    # the whole program, with prefetching disabled).  For such a line the
-    # directory can never name a remote owner or sharer, so the remote-M
-    # transfer, silent-downgrade and invalidation branches are dead code
-    # and the dispatch collapses to: L1 hit, or L1 miss filled from L2 or
-    # memory.  The one cross-thread hazard left is the *eviction* a fill
-    # may cause.  If the target set is full *and* holds any shared line,
-    # both the victim choice and whether an eviction happens at all depend
-    # on concurrent remote invalidations (a remote write may free the way
-    # first in the reference interleaving), so both methods return ``None``
-    # (before mutating any state) whenever :meth:`Cache.fill_hazard` flags
-    # the fill; the caller then falls back to the reference path.
-    #
-    # Equivalence with the reference methods is enforced by
-    # tests/simx/test_fastpath_differential.py.
-
-    def read_private(self, core: int, addr: int, unsafe_lines) -> "int | None":
-        """Fast :meth:`read` for a thread-private line; None = must bail."""
-        cfg = self.config
-        line = addr // cfg.line_size
-        l1 = self.l1s[core]
-        s = l1._sets[line % l1.n_sets]
-        entry = s.get(line)
-        if entry is not None and entry.state is not MesiState.INVALID:
-            s.move_to_end(line)
-            l1.hits += 1
-            st = self.stats
-            st.reads += 1
-            st.l1_hits += 1
-            return cfg.l1d.hit_latency
-        if l1.fill_hazard(line, unsafe_lines):
-            return None
-        st = self.stats
-        st.reads += 1
-        l1.misses += 1
-        st.l1_misses += 1
-        latency = cfg.l1d.hit_latency + self.interconnect.request_latency(core, line)
-        e = self._entry(line)
-        if self.l2.touch(line) is not None or e.in_l2:
-            st.l2_hits += 1
-            latency += cfg.l2.hit_latency
-        else:
-            st.memory_fetches += 1
-            latency += cfg.l2.hit_latency + cfg.memory_latency
-            self.l2.insert(line, MesiState.EXCLUSIVE)
-            e.in_l2 = True
-        if e.sharers or cfg.coherence_protocol == "msi":
-            new_state = MesiState.SHARED
-        else:
-            new_state = MesiState.EXCLUSIVE
-        latency += self._install_l1(core, line, new_state)
-        return latency
-
-    def write_private(self, core: int, addr: int, unsafe_lines) -> "int | None":
-        """Fast :meth:`write` for a thread-private line; None = must bail."""
-        cfg = self.config
-        line = addr // cfg.line_size
-        l1 = self.l1s[core]
-        s = l1._sets[line % l1.n_sets]
-        entry = s.get(line)
-        if entry is not None and entry.state is not MesiState.INVALID:
-            s.move_to_end(line)
-            l1.hits += 1
-            st = self.stats
-            st.writes += 1
-            st.l1_hits += 1
-            state = entry.state
-            if state is MesiState.MODIFIED:
-                return cfg.l1d.hit_latency
-            if state is MesiState.EXCLUSIVE:
-                entry.state = MesiState.MODIFIED
-                e = self._entry(line)
-                e.owner = core
-                e.sharers = {core}
-                return cfg.l1d.hit_latency
-            # SHARED (only reachable under MSI for a private line): the
-            # upgrade transaction still goes out, but has no one to kill
-            st.upgrades += 1
-            latency = cfg.l1d.hit_latency + self.interconnect.request_latency(core, line)
-            latency += self._invalidate_remotes(line, keep=core)
-            entry.state = MesiState.MODIFIED
-            e = self._entry(line)
-            e.owner = core
-            e.sharers = {core}
-            return latency
-        if l1.fill_hazard(line, unsafe_lines):
-            return None
-        st = self.stats
-        st.writes += 1
-        l1.misses += 1
-        st.l1_misses += 1
-        latency = cfg.l1d.hit_latency + self.interconnect.request_latency(core, line)
-        e = self._entry(line)
-        if self.l2.touch(line) is not None or e.in_l2:
-            st.l2_hits += 1
-            latency += cfg.l2.hit_latency
-        else:
-            st.memory_fetches += 1
-            latency += cfg.l2.hit_latency + cfg.memory_latency
-            self.l2.insert(line, MesiState.EXCLUSIVE)
-            e.in_l2 = True
-        latency += self._invalidate_remotes(line, keep=core)
-        latency += self._install_l1(core, line, MesiState.MODIFIED)
-        return latency
-
     # ── invariants (exercised by property tests) ─────────────────────────
     def check_invariants(self) -> None:
         """Assert protocol safety: single writer, no stale owners.

@@ -126,25 +126,9 @@ class MachineConfig:
     #: "mesi" (Table I's protocol) or "msi" — without the Exclusive state
     #: every first write after a read miss pays an upgrade transaction.
     coherence_protocol: str = "mesi"
-    #: execute runs of thread-private Compute/Load/Store operations as
-    #: fused bursts (repro.simx.fastpath).  Cycle- and stats-identical to
-    #: the op-at-a-time reference path by construction; the machine falls
-    #: back to the reference path automatically whenever a configuration
-    #: makes fusion unsafe (contended bus, banked DRAM, prefetching) or a
-    #: burst is about to evict a shared line.  Disable to force the
-    #: reference path everywhere.
-    fast_path: bool = True
-    #: execute whole traces as lockstep batch epochs (repro.simx.batch):
-    #: each thread's private segments run back-to-back with no scheduler
-    #: pass, and only synchronisation/shared ops are globally ordered.
-    #: Cycle- and stats-identical to the reference path by construction
-    #: (enforced by tests/differential); subject to the same safety gates
-    #: as the fast path.  Takes precedence over ``fast_path`` when both
-    #: are enabled and supported.
-    batch_path: bool = False
     #: thread-dispatch policy (repro.simx.sched).  "pinned" is the paper's
-    #: one-thread-per-core model (and the only policy the fused engines
-    #: support); "round-robin" time-multiplexes run queues over the cores
+    #: one-thread-per-core model (and the only policy the batch engine
+    #: supports); "round-robin" time-multiplexes run queues over the cores
     #: with quantum preemption; "acmp" extends round-robin with a big-core
     #: ownership policy for asymmetric machines.
     scheduler: str = "pinned"

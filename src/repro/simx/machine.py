@@ -21,20 +21,25 @@ Synchronisation semantics:
 
 Deadlocks (a barrier some thread never reaches, a lock never released) are
 detected and raised rather than hanging the simulation.
+
+Two engines execute these semantics.  :meth:`Machine.run` takes the
+lockstep batch engine (:mod:`repro.simx.batch`) whenever the configuration
+passes its gates and the op-at-a-time reference interpreter otherwise —
+the choice depends on the configuration alone.
+:meth:`Machine.run_reference` always takes the reference interpreter: it
+is the oracle the batch engine is differentially tested against.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import time
 from dataclasses import dataclass, field, replace
 
 from repro import obs
+from repro.simx.batch import batch_fallback, run_batch
 from repro.simx.coherence import CoherenceController, CoherenceStats
 from repro.simx.config import MachineConfig
 from repro.simx.core_model import CoreModel
-from repro.simx.fastpath import Burst, compile_program, supports_fast_path
 from repro.simx.sched import ThreadContext, ThreadState, build_scheduler
 from repro.simx.stats import PhaseStats, SchedStats
 from repro.simx.trace import (
@@ -55,10 +60,10 @@ __all__ = ["Machine", "SimulationResult", "DeadlockError", "TraceError"]
 _RUNS = obs.counter("simx_runs_total", "simulator runs", labels=("engine",))
 _OPS = obs.counter("simx_ops_total", "trace operations executed")
 _FUSED_OPS = obs.counter("simx_fused_ops_total",
-                         "operations executed inside fused bursts")
-_BURSTS = obs.counter("simx_bursts_total", "fused bursts executed")
+                         "operations compiled into batch private segments")
+_BURSTS = obs.counter("simx_bursts_total", "batch private segments compiled")
 _FALLBACKS = obs.counter("simx_burst_fallbacks_total",
-                         "bursts that bailed to the reference path")
+                         "private ops parked on an eviction hazard")
 _CYCLES = obs.counter("simx_cycles_total", "simulated cycles")
 _INSTRUCTIONS = obs.counter("simx_instructions_total",
                             "simulated instructions retired")
@@ -107,7 +112,9 @@ class SimulationResult:
     #: zeros under the pinned scheduler
     sched: SchedStats = field(default_factory=SchedStats)
     # execution-engine accounting (observability; not part of the timing
-    # semantics, so cache keys and golden outputs never depend on them)
+    # semantics, so cache keys and golden outputs never depend on them).
+    # Bursts are the batch engine's multi-op private segments; the
+    # reference interpreter reports none.
     engine: str = "reference"
     n_ops: int = 0
     n_bursts: int = 0
@@ -182,6 +189,11 @@ class Machine:
     ) -> SimulationResult:
         """Execute a program and return its timing breakdown.
 
+        Runs on the batch engine when :func:`~repro.simx.batch.batch_fallback`
+        finds no failing gate, else on the reference interpreter; both are
+        cycle- and stats-identical, so only ``result.engine`` and the op
+        accounting differ.
+
         Parameters
         ----------
         program:
@@ -205,12 +217,39 @@ class Machine:
         RuntimeError
             If ``max_cycles`` is exceeded.
         """
+        return self._observed(program, max_cycles, reference=False)
+
+    def run_reference(
+        self, program: TraceProgram, max_cycles: "int | None" = None
+    ) -> SimulationResult:
+        """Execute a program on the op-at-a-time reference interpreter.
+
+        Same contract as :meth:`run`, whatever the configuration: this is
+        the oracle the batch engine is checked against (differential
+        tests, scheduler parity, ``scripts/run_bench.py``).
+        """
+        return self._observed(program, max_cycles, reference=True)
+
+    def _observed(
+        self, program: TraceProgram, max_cycles: "int | None", reference: bool
+    ) -> SimulationResult:
+        """Run :meth:`_run` and record its metrics and ``simx.run`` span."""
         if not obs.REGISTRY.enabled:
-            return self._run(program, max_cycles)
+            return self._run(program, max_cycles, reference)
+        # the span names the engine and, for a gated-off batch run, the
+        # first gate that failed (an explicit reference run has none)
+        attrs = {"engine": "reference"}
+        if not reference:
+            fallback = batch_fallback(self.config, max_cycles)
+            if fallback is None:
+                attrs["engine"] = "batch"
+            else:
+                attrs["fallback"] = fallback
         t0 = time.perf_counter()
         with obs.span("simx.run", program=program.name,
-                      threads=program.n_threads, cores=self.config.n_cores):
-            result = self._run(program, max_cycles)
+                      threads=program.n_threads, cores=self.config.n_cores,
+                      **attrs):
+            result = self._run(program, max_cycles, reference)
         _RUN_SECONDS.observe(time.perf_counter() - t0)
         _RUNS.inc(engine=result.engine)
         _OPS.inc(result.n_ops)
@@ -231,9 +270,13 @@ class Machine:
         return result
 
     def _run(
-        self, program: TraceProgram, max_cycles: "int | None" = None
+        self,
+        program: TraceProgram,
+        max_cycles: "int | None" = None,
+        reference: bool = False,
     ) -> SimulationResult:
-        """The actual discrete-event loop behind :meth:`run`."""
+        """The engine dispatch and reference discrete-event loop behind
+        :meth:`run` / :meth:`run_reference`, without observability."""
         scheduled = self.config.scheduler != "pinned"
         if program.n_threads > self.config.n_cores and not scheduled:
             raise ValueError(
@@ -243,13 +286,7 @@ class Machine:
                 f"MachineConfig(scheduler='round-robin') or "
                 f"scheduler='acmp' to oversubscribe"
             )
-
-        # engine priority: batch -> fast -> reference (each gate falls
-        # through to the next when the configuration rules it out; any
-        # non-pinned scheduler forces the reference engine)
-        from repro.simx.batch import run_batch, supports_batch_path
-
-        if supports_batch_path(self.config, max_cycles):
+        if not reference and batch_fallback(self.config, max_cycles) is None:
             return run_batch(self.config, program)
 
         coherence = CoherenceController(self.config)
@@ -265,21 +302,10 @@ class Machine:
                 self.config.n_cores if scheduled else program.n_threads
             )
         ]
-        if supports_fast_path(self.config, max_cycles):
-            compiled = compile_program(program, self.config.line_size)
-            shared_lines = compiled.shared_lines
-            threads = [
-                _ThreadCtx(tid=t.thread_id, ops=iter(compiled.thread_ops[i]))
-                for i, t in enumerate(program.threads)
-            ]
-        else:
-            compiled = None
-            shared_lines = frozenset()
-            threads = [
-                _ThreadCtx(tid=t.thread_id, ops=iter(t)) for t in program.threads
-            ]
+        threads = [
+            _ThreadCtx(tid=t.thread_id, ops=iter(t)) for t in program.threads
+        ]
         ops_executed = 0
-        burst_fallbacks = 0
         stats = PhaseStats()
         scheduler = build_scheduler(self.config)
 
@@ -317,68 +343,6 @@ class Machine:
                 ctx.barrier_id = None
                 scheduler.on_unblock(ctx)
 
-        def run_burst(ctx: _ThreadCtx, burst: Burst) -> None:
-            """Execute a fused run of private ops in one scheduler step.
-
-            Cycle- and stats-identical to stepping the ops individually:
-            busy cycles and the coherence-by-phase charge are accumulated
-            per burst (the per-op sums are equal), and the streamlined
-            coherence entry points reproduce the reference protocol
-            exactly for private lines.  If an access would evict a shared
-            line, the burst stops *before* it and the unexecuted tail is
-            pushed back for op-at-a-time execution under the normal
-            interleaving.
-            """
-            nonlocal ops_executed, burst_fallbacks
-            core = cores[ctx.tid]
-            tid = ctx.tid
-            phase = ctx.current_phase()
-            if burst.n_mem:
-                snapshot = replace(coherence.stats)
-            read_private = coherence.read_private
-            write_private = coherence.write_private
-            compute_denom = core.config.effective_ipc * core.perf_factor
-            ceil = math.ceil
-            busy = 0
-            n_loads = 0
-            n_stores = 0
-            compute_instructions = 0
-            ops = burst.ops
-            executed = 0
-            for op in ops:
-                t = type(op)
-                if t is Compute:
-                    k = op.instructions
-                    compute_instructions += k
-                    busy += ceil(k / compute_denom)
-                elif t is Load:
-                    cycles = read_private(tid, op.addr, shared_lines)
-                    if cycles is None:
-                        break
-                    n_loads += 1
-                    busy += cycles
-                else:  # Store
-                    cycles = write_private(tid, op.addr, shared_lines)
-                    if cycles is None:
-                        break
-                    n_stores += 1
-                    busy += cycles
-                executed += 1
-            core.instructions_retired += compute_instructions + n_loads + n_stores
-            core.loads += n_loads
-            core.stores += n_stores
-            if busy:
-                stats.add_busy(phase, tid, busy)
-                ctx.clock += busy
-            if n_loads or n_stores:
-                charge_coherence(phase, snapshot)
-            ops_executed += executed
-            if executed < len(ops):
-                # an eviction hazard ended the run early: execute the rest
-                # (including the offending op) on the reference path
-                ctx.ops = itertools.chain(ops[executed:], ctx.ops)
-                burst_fallbacks += 1
-
         def step(ctx: _ThreadCtx) -> None:
             nonlocal ops_executed
             try:
@@ -396,9 +360,6 @@ class Machine:
                 scheduler.on_done(ctx)
                 return
 
-            if type(op) is Burst:
-                run_burst(ctx, op)
-                return
             ops_executed += 1
             if isinstance(op, Compute):
                 cycles = cores[ctx.core].compute_cycles(op.instructions)
@@ -530,9 +491,5 @@ class Machine:
             ),
             coherence_by_phase=phase_coherence,
             sched=scheduler.stats,
-            engine="fast" if compiled is not None else "reference",
             n_ops=ops_executed,
-            n_bursts=compiled.n_bursts if compiled is not None else 0,
-            n_fused_ops=compiled.n_fused_ops if compiled is not None else 0,
-            n_burst_fallbacks=burst_fallbacks,
         )

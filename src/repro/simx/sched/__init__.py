@@ -14,11 +14,11 @@ runnable thread advances next, and on *which* core, is delegated to a
 * :class:`AcmpScheduler` — round-robin plus a big-core ownership policy for
   asymmetric machines (who gets core 0 during the serial/merge phases).
 
-The fused engines (:mod:`repro.simx.fastpath`, :mod:`repro.simx.batch`)
-interleave work without consulting a scheduler, so they are only safe under
-pinned dispatch — :func:`supports_scheduling` is the seam they gate on, and
-any time-multiplexing policy falls back to the op-at-a-time reference
-engine (differentially tested in ``tests/sched/``).
+The batch engine (:mod:`repro.simx.batch`) interleaves work without
+consulting a scheduler, so it is only safe under pinned dispatch —
+:func:`supports_scheduling` is the seam it gates on, and any
+time-multiplexing policy falls back to the op-at-a-time reference engine
+(differentially tested in ``tests/sched/``).
 """
 
 from __future__ import annotations

@@ -130,10 +130,10 @@ class Scheduler:
 
 
 def supports_scheduling(config: MachineConfig) -> bool:
-    """Whether the fused engines' dispatch assumption holds.
+    """Whether the batch engine's dispatch assumption holds.
 
-    The fast and batch engines execute private runs without a scheduler
-    pass, which is only equivalent to the event loop under pinned
+    The batch engine executes private runs without a scheduler pass,
+    which is only equivalent to the event loop under pinned
     one-thread-per-core dispatch.  Any time-multiplexing policy must fall
     back to the op-at-a-time reference engine.
     """

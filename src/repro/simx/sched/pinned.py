@@ -5,7 +5,7 @@ preserved cycle-identically: thread *i* is pinned to core *i* for the whole
 run, and the event loop always advances the runnable thread with the
 smallest local clock (ties to the lowest thread id).  Nothing is ever
 preempted, queued, or migrated, so every :class:`~repro.simx.stats.SchedStats`
-counter stays zero and the fused engines remain safe
+counter stays zero and the batch engine remains safe
 (:func:`~repro.simx.sched.base.supports_scheduling`).
 """
 

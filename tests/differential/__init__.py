@@ -1,20 +1,24 @@
-"""Differential-equivalence harness: three engines, one observable truth.
+"""Differential-equivalence harness: two engines, one observable truth.
 
-The simulator has three execution engines — the op-at-a-time reference
-interpreter, the fused fast path (``repro.simx.fastpath``) and the
-lockstep batch interpreter (``repro.simx.batch``) — plus scalar and
-vectorized (``repro.core.gridkernels``) evaluators of the paper's Eq 1-8
-model.  This package is the gate that keeps them interchangeable:
+The simulator has two execution engines — the op-at-a-time reference
+interpreter (``Machine.run_reference``) and the lockstep batch engine
+(``repro.simx.batch``) that ``Machine.run`` takes wherever its gates
+pass — plus scalar and vectorized (``repro.core.gridkernels``)
+evaluators of the paper's Eq 1-8 model.  This package is the gate that
+keeps them interchangeable:
 
+* :mod:`tests.differential.engines` — the shared machine ring, runner
+  and full-output comparison;
 * :mod:`tests.differential.gen` — a seeded random trace-program
   generator (stdlib ``random`` only, so ``scripts/run_bench.py`` can
   reuse it without hypothesis);
 * ``test_engine_identity`` — thousands of generated programs, each run
-  through all three engines and compared on every observable field;
+  through both engines and compared on every observable field;
 * ``test_fallback_boundaries`` — directed traces pinning the exact
   fallback seams (eviction hazard, coherence event, phase transition
-  inside an epoch) and the configurations that must bypass batch/fast
-  execution entirely (banked DRAM, contended bus, prefetch);
+  inside an epoch) and the configurations that must bypass batch
+  execution entirely (non-pinned dispatch, banked DRAM, contended bus,
+  prefetch, a watchdog);
 * ``test_model_oracles`` — randomized grids where the vectorized
   kernels must match scalar oracles bit-for-bit;
 * ``test_obs_parity`` — the obs metrics count each run exactly once,

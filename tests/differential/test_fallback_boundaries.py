@@ -6,8 +6,10 @@ where that proof stops — a coherence event inside an epoch, an L1 fill
 that would evict a shared line, a phase transition while other threads'
 clocks diverge — and asserts the batch engine both takes the fallback
 (where observable in the op accounting) and stays cycle-identical.
-Configurations whose state couples cores (banked DRAM, contended bus,
-prefetch, a cycle watchdog) must bypass the batch engine entirely.
+Configurations whose state couples cores (non-pinned dispatch, banked
+DRAM, contended bus, prefetch, a cycle watchdog) must bypass the batch
+engine entirely, and :func:`~repro.simx.batch.batch_fallback` must name
+the gate that sent them to the reference interpreter.
 """
 
 from dataclasses import replace
@@ -18,24 +20,18 @@ from repro.simx import (
     Load,
     Machine,
     Store,
+    batch_fallback,
     supports_batch_path,
 )
 from repro.simx.batch import compile_batch
-from tests.simx.test_fastpath_differential import (
+from tests.differential.engines import (
     CONFIGS,
     LINE,
     assert_identical,
     program_of,
+    run_ref_and_batch,
     tiny_config,
 )
-
-
-def run_ref_and_batch(threads, config):
-    ref = Machine(replace(config, fast_path=False, batch_path=False)).run(
-        program_of(threads)
-    )
-    bat = Machine(replace(config, batch_path=True)).run(program_of(threads))
-    return ref, bat
 
 
 def private(tid, idx):
@@ -56,7 +52,7 @@ class TestCoherenceEventInsideEpoch:
         compiled = compile_batch(program_of(threads), cfg.line_size)
         # the shared line is a segment boundary, not part of any burst
         assert 0 in compiled.shared_lines
-        ref, bat = run_ref_and_batch(threads, cfg)
+        ref, bat = run_ref_and_batch(program_of(threads), cfg)
         assert bat.engine == "batch"
         assert bat.n_bursts >= 2  # the private run was split, not fused over
         assert_identical(bat, ref)
@@ -68,7 +64,7 @@ class TestCoherenceEventInsideEpoch:
             [Load(0), Barrier(0), Load(0)],
             [Store(0), Barrier(0), Compute(10)],
         ]
-        ref, bat = run_ref_and_batch(threads, tiny_config())
+        ref, bat = run_ref_and_batch(program_of(threads), tiny_config())
         assert ref.coherence.invalidations >= 1
         assert_identical(bat, ref)
 
@@ -85,7 +81,7 @@ class TestEvictionHazardBail:
             [Compute(50), Load(0 * LINE)],
         ]
         cfg = tiny_config()
-        ref, bat = run_ref_and_batch(threads, cfg)
+        ref, bat = run_ref_and_batch(program_of(threads), cfg)
         assert bat.n_burst_fallbacks >= 1
         assert_identical(bat, ref)
 
@@ -94,7 +90,7 @@ class TestEvictionHazardBail:
             [Load(0 * LINE), Load(4 * LINE)]
             + [Store(private(0, i)) for i in (0, 4, 8, 12)],
         ]
-        ref, bat = run_ref_and_batch(threads, tiny_config())
+        ref, bat = run_ref_and_batch(program_of(threads), tiny_config())
         assert ref.n_ops == bat.n_ops
         assert_identical(bat, ref)
 
@@ -113,7 +109,7 @@ class TestPhaseTransitionInsideEpoch:
             [PhaseBegin("parallel"), Compute(20), PhaseEnd("parallel"),
              PhaseBegin("merge"), Load(0), PhaseEnd("merge")],
         ]
-        ref, bat = run_ref_and_batch(threads, tiny_config())
+        ref, bat = run_ref_and_batch(program_of(threads), tiny_config())
         assert ref.phase_stats.spans == bat.phase_stats.spans
         assert_identical(bat, ref)
 
@@ -122,36 +118,56 @@ class TestConfigurationGates:
     """State that couples cores must bypass the batch engine entirely."""
 
     def test_banked_dram_falls_back_to_reference(self):
-        cfg = replace(tiny_config(), batch_path=True, dram="banked")
-        assert not supports_batch_path(cfg)
+        cfg = tiny_config(dram="banked")
+        assert batch_fallback(cfg) == "dram"
         threads = [[Load(private(0, i)) for i in range(8)], [Load(0), Store(0)]]
-        got = Machine(cfg).run(program_of(threads))
-        ref = Machine(replace(cfg, batch_path=False, fast_path=False)).run(
-            program_of(threads)
-        )
-        # banked DRAM also rules out the fused fast path: full reference
+        ref, got = run_ref_and_batch(program_of(threads), cfg)
         assert got.engine == "reference"
         assert_identical(got, ref)
 
     def test_contended_bus_falls_back(self):
-        cfg = replace(tiny_config(), batch_path=True, bus_occupancy=2)
-        assert not supports_batch_path(cfg)
+        cfg = tiny_config(bus_occupancy=2)
+        assert batch_fallback(cfg) == "bus_occupancy"
         threads = [[Load(0), Store(0)], [Load(0), Store(0)]]
         got = Machine(cfg).run(program_of(threads))
         assert got.engine == "reference"
 
     def test_prefetch_falls_back(self):
-        cfg = replace(tiny_config(), batch_path=True, prefetch_next_line=True)
+        cfg = tiny_config(prefetch_next_line=True)
+        assert batch_fallback(cfg) == "prefetch"
         assert not supports_batch_path(cfg)
 
     def test_watchdog_falls_back(self):
-        cfg = replace(tiny_config(), batch_path=True)
+        cfg = tiny_config()
         assert supports_batch_path(cfg)
-        assert not supports_batch_path(cfg, max_cycles=10_000)
+        assert batch_fallback(cfg, max_cycles=10_000) == "max_cycles"
         threads = [[Compute(100)]]
         got = Machine(cfg).run(program_of(threads), max_cycles=10_000)
         assert got.engine == "reference"
 
+    def test_scheduler_falls_back(self):
+        cfg = tiny_config(scheduler="round-robin")
+        assert batch_fallback(cfg) == "scheduler"
+        threads = [[Load(0), Compute(10)], [Store(0), Compute(10)]]
+        ref, got = run_ref_and_batch(program_of(threads), cfg)
+        assert got.engine == "reference"
+        assert_identical(got, ref)
+
+    def test_first_failing_gate_is_named(self):
+        """With every gate failing, each fix reveals the next one."""
+        cfg = tiny_config(scheduler="round-robin", dram="banked",
+                          prefetch_next_line=True, bus_occupancy=2)
+        for reason, fix in [
+            ("scheduler", dict(scheduler="pinned")),
+            ("dram", dict(dram="flat")),
+            ("prefetch", dict(prefetch_next_line=False)),
+            ("bus_occupancy", dict(bus_occupancy=0)),
+        ]:
+            assert batch_fallback(cfg, max_cycles=10) == reason
+            cfg = replace(cfg, **fix)
+        assert batch_fallback(cfg, max_cycles=10) == "max_cycles"
+        assert batch_fallback(cfg) is None
+
     def test_every_differential_config_supports_batch(self):
         for name, cfg in CONFIGS.items():
-            assert supports_batch_path(replace(cfg, batch_path=True)), name
+            assert supports_batch_path(cfg), name

@@ -46,17 +46,21 @@ def _program():
     return TraceProgram("parity", threads)
 
 
-ENGINES = {
-    "reference": dict(fast_path=False, batch_path=False),
-    "fast": dict(fast_path=True, batch_path=False),
-    "batch": dict(batch_path=True),
-}
+def _run(engine: str):
+    """One run of the parity program on the named engine."""
+    machine = Machine(MachineConfig(n_cores=2))
+    if engine == "reference":
+        return machine.run_reference(_program())
+    return machine.run(_program())
+
+
+ENGINES = ("reference", "batch")
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_each_engine_counts_its_run_exactly_once(engine):
     obs.set_enabled(True)
-    result = Machine(MachineConfig(n_cores=2, **ENGINES[engine])).run(_program())
+    result = _run(engine)
     assert result.engine == engine
     runs = obs.REGISTRY.get("simx_runs_total")
     assert runs.value(engine=engine) == 1.0
@@ -74,25 +78,26 @@ def test_each_engine_counts_its_run_exactly_once(engine):
 
 
 def test_batch_accounting_matches_fast_conventions():
-    """``engine="batch"`` results carry the same burst accounting the fast
-    engine reports: compile-time bursts/fused ops, runtime ops/fallbacks."""
-    prog = _program()
-    fast = Machine(MachineConfig(n_cores=2, fast_path=True)).run(prog)
-    bat = Machine(MachineConfig(n_cores=2, batch_path=True)).run(prog)
+    """``engine="batch"`` results carry the fast-path accounting
+    conventions: compile-time bursts/fused ops, and runtime ops counted
+    exactly as the reference interpreter counts them."""
+    ref = _run("reference")
+    bat = _run("batch")
     assert bat.engine == "batch"
-    assert bat.n_ops == fast.n_ops > 0
+    assert bat.n_ops == ref.n_ops > 0
     assert bat.n_bursts > 0
     assert bat.n_fused_ops > 0
+    assert ref.n_bursts == ref.n_fused_ops == ref.n_burst_fallbacks == 0
     # accounting is observational: timing must not depend on it
-    assert bat.total_cycles == fast.total_cycles
-    assert bat.thread_cycles == fast.thread_cycles
+    assert bat.total_cycles == ref.total_cycles
+    assert bat.thread_cycles == ref.thread_cycles
 
 
 def test_ops_totals_agree_across_engines_with_obs_enabled():
     obs.set_enabled(True)
     totals = {}
-    for engine, knobs in ENGINES.items():
+    for engine in ENGINES:
         obs.reset()
-        Machine(MachineConfig(n_cores=2, **knobs)).run(_program())
+        _run(engine)
         totals[engine] = obs.REGISTRY.get("simx_ops_total").value()
-    assert totals["reference"] == totals["fast"] == totals["batch"] > 0
+    assert totals["reference"] == totals["batch"] > 0

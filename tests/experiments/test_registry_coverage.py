@@ -22,8 +22,9 @@ from repro.experiments.registry import (
     filter_options,
     run_experiment,
 )
+from repro.engine.executors import SIM_PROGRAM, SWEEP_POINT
 from repro.pipeline import resolve_units
-from repro.simx import Machine
+from repro.simx import Machine, batch_fallback, supports_batch_path
 
 #: one option set for the whole registry, as ``runall`` would pass it
 #: (fig2's claims index the 16-core point; ext-critical sweeps rl to 128)
@@ -115,3 +116,26 @@ def test_guard_trips_on_cold_caches(warmed, monkeypatch, tmp_path):
     finally:
         simsweep.set_disk_store(restore)
         simsweep.clear_cache(memory_only=True)
+
+
+def test_runall_pinned_simulations_take_the_batch_engine():
+    """Every pinned simulation ``runall`` declares (at its default
+    options) must pass the batch engine's gates; only a time-multiplexing
+    scheduler may send a run to the reference interpreter.  A default or
+    gate change that silently slows ``runall`` down trips this."""
+    from repro.cli import _all_experiment_ids
+
+    checked = 0
+    for eid in _all_experiment_ids():
+        for unit in declare_units(eid):
+            if unit.kind not in (SWEEP_POINT, SIM_PROGRAM):
+                continue
+            config = unit.spec[-1]
+            if config.scheduler != "pinned":
+                continue
+            checked += 1
+            assert supports_batch_path(config), (
+                f"{eid}: {unit.describe()} falls back to the reference "
+                f"engine ({batch_fallback(config)})"
+            )
+    assert checked

@@ -117,7 +117,7 @@ class TestKeySensitivity:
             replace(cfg, coherence_protocol="msi"),
             replace(cfg, interconnect="mesh"),
             replace(cfg, dram="banked"),
-            replace(cfg, fast_path=False),
+            replace(cfg, prefetch_next_line=True),
             MachineConfig.baseline(n_cores=8),
         ]
         keys = {store.key_for({"machine": asdict(c)}) for c in [cfg, *variants]}

@@ -43,15 +43,16 @@ def _simple_program(n_rounds=50):
 class TestSimulatorAccounting:
     def test_result_carries_op_and_burst_counts(self):
         prog = _simple_program()
-        fast = Machine(MachineConfig(n_cores=2, fast_path=True)).run(prog)
-        ref = Machine(MachineConfig(n_cores=2, fast_path=False)).run(prog)
-        assert fast.engine == "fast"
+        machine = Machine(MachineConfig(n_cores=2))
+        bat = machine.run(prog)
+        ref = machine.run_reference(prog)
+        assert bat.engine == "batch"
         assert ref.engine == "reference"
-        assert fast.n_ops == ref.n_ops > 0
-        assert fast.n_bursts > 0
+        assert bat.n_ops == ref.n_ops > 0
+        assert bat.n_bursts > 0
         assert ref.n_bursts == 0
         # accounting fields never affect timing semantics
-        assert fast.total_cycles == ref.total_cycles
+        assert bat.total_cycles == ref.total_cycles
 
     def test_run_records_metrics_once_per_run(self):
         obs.set_enabled(True)
@@ -64,6 +65,36 @@ class TestSimulatorAccounting:
         assert obs.REGISTRY.get("simx_run_seconds").series_stats()["count"] == 1
         [s] = [s for s in obs.RECORDER.spans if s.name == "simx.run"]
         assert s.attrs["program"] == "probe"
+
+    @pytest.mark.parametrize("overrides, max_cycles, fallback", [
+        (dict(scheduler="round-robin"), None, "scheduler"),
+        (dict(dram="banked"), None, "dram"),
+        (dict(prefetch_next_line=True), None, "prefetch"),
+        (dict(bus_occupancy=2), None, "bus_occupancy"),
+        ({}, 10**9, "max_cycles"),
+        ({}, None, None),
+    ], ids=["scheduler", "dram", "prefetch", "bus_occupancy", "max_cycles",
+            "batch"])
+    def test_run_span_names_engine_and_fallback(self, overrides, max_cycles,
+                                                fallback):
+        obs.set_enabled(True)
+        cfg = MachineConfig(n_cores=2, **overrides)
+        result = Machine(cfg).run(_simple_program(), max_cycles=max_cycles)
+        [s] = [s for s in obs.RECORDER.spans if s.name == "simx.run"]
+        assert s.attrs["engine"] == result.engine
+        if fallback is None:
+            assert result.engine == "batch"
+            assert "fallback" not in s.attrs
+        else:
+            assert result.engine == "reference"
+            assert s.attrs["fallback"] == fallback
+
+    def test_explicit_reference_run_is_no_fallback(self):
+        obs.set_enabled(True)
+        Machine(MachineConfig(n_cores=2)).run_reference(_simple_program())
+        [s] = [s for s in obs.RECORDER.spans if s.name == "simx.run"]
+        assert s.attrs["engine"] == "reference"
+        assert "fallback" not in s.attrs
 
 
 @fork_only

@@ -20,8 +20,8 @@ from dataclasses import replace
 import pytest
 
 from repro.simx import Machine
+from tests.differential.engines import CONFIGS, assert_identical
 from tests.differential.gen import MIXES, generate_program
-from tests.simx.test_fastpath_differential import CONFIGS, assert_identical
 
 _CONFIG_RING = tuple(CONFIGS.items())
 
@@ -33,9 +33,8 @@ _CHUNK = 51
 
 def run_both(cfg, program):
     """One program through the pinned and round-robin reference engines."""
-    base = replace(cfg, fast_path=False, batch_path=False)
-    pinned = Machine(base).run(program)
-    rr = Machine(replace(base, scheduler="round-robin")).run(program)
+    pinned = Machine(cfg).run_reference(program)
+    rr = Machine(replace(cfg, scheduler="round-robin")).run(program)
     return pinned, rr
 
 

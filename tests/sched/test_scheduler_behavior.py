@@ -21,8 +21,8 @@ from repro.simx import (
     ThreadTrace,
     TraceProgram,
     build_scheduler,
+    batch_fallback,
     supports_batch_path,
-    supports_fast_path,
     supports_scheduling,
 )
 from repro.simx.sched import (
@@ -176,22 +176,21 @@ class TestAcmpPolicies:
 
 
 class TestFallbackSeam:
-    """Non-pinned dispatch must force the reference engine: the fused
-    fast path and the lockstep batch engine both assume one thread per
-    core."""
+    """Non-pinned dispatch must force the reference engine: the lockstep
+    batch engine (the fast path) assumes one thread per core."""
 
     def test_supports_scheduling_gate(self):
         assert supports_scheduling(MachineConfig.baseline(n_cores=2))
         assert not supports_scheduling(rr_config(2))
 
     def test_fast_and_batch_paths_refuse_scheduled_configs(self):
-        cfg = rr_config(2, fast_path=True, batch_path=True)
-        assert not supports_fast_path(cfg)
+        cfg = rr_config(2)
         assert not supports_batch_path(cfg)
+        assert batch_fallback(cfg) == "scheduler"
 
     def test_scheduled_run_lands_on_the_reference_engine(self):
         prog = TraceProgram("p", [chopped_compute(t, 500) for t in range(4)])
-        res = Machine(rr_config(2, fast_path=True, quantum=100)).run(prog)
+        res = Machine(rr_config(2, quantum=100)).run(prog)
         assert res.engine == "reference"
 
     def test_pinned_config_still_takes_the_fast_path(self):
@@ -199,7 +198,7 @@ class TestFallbackSeam:
             ThreadTrace(0, [Compute(10), Store(0x100), Compute(10)]),
         ])
         res = Machine(MachineConfig.baseline(n_cores=1)).run(prog)
-        assert res.engine == "fast"
+        assert res.engine == "batch"
 
 
 class TestFactory:

@@ -1,7 +1,5 @@
 """Property tests: the simulator is deterministic and scheduling-stable."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +14,7 @@ from repro.simx import (
     Store,
     ThreadTrace,
     TraceProgram,
+    supports_batch_path,
 )
 from repro.simx.config import CacheConfig
 
@@ -92,15 +91,16 @@ class TestDeterminism:
         assert len(set(res.thread_cycles)) == 1
 
 
-# ── fast-path knob parity ─────────────────────────────────────────────────
+# ── fast-path parity ──────────────────────────────────────────────────────
 #
-# The `fast_path` knob may change throughput only, never results: every
-# machine configuration must produce bitwise-equal output with the knob on
-# and off.  Configurations the fast path cannot accelerate (banked DRAM,
-# contended bus, prefetch) take the gated fallback, which must be exactly
-# the reference path.  A deeper per-op differential proof lives in
-# tests/simx/test_fastpath_differential.py; this is the regression tripwire
-# that keeps the knob from ever forking behaviour silently.
+# The engine choice may change throughput only, never results: every
+# machine configuration must produce bitwise-equal output through
+# `Machine.run` (the batch engine, the fast path, wherever its gates pass)
+# and `Machine.run_reference`.  Configurations the batch engine cannot
+# run (banked DRAM, contended bus, prefetch) take the gated fallback,
+# which must be exactly the reference path.  A deeper per-op differential
+# proof lives in tests/differential/; this is the regression tripwire
+# that keeps the engine choice from ever forking behaviour silently.
 
 PARITY_CONFIGS = {
     "baseline": MachineConfig.baseline(n_cores=4),
@@ -141,12 +141,18 @@ def _parity_program() -> TraceProgram:
 
 
 class TestFastPathKnobParity:
+    """The knob is the entry point: ``run`` takes the fast path (batch)
+    wherever the gates allow, ``run_reference`` never does."""
+
     @pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
     def test_knob_never_changes_results(self, name):
         config = PARITY_CONFIGS[name]
         prog = _parity_program()
-        on = Machine(replace(config, fast_path=True)).run(prog)
-        off = Machine(replace(config, fast_path=False)).run(prog)
+        on = Machine(config).run(prog)
+        off = Machine(config).run_reference(prog)
+        assert on.engine == ("batch" if supports_batch_path(config)
+                             else "reference")
+        assert off.engine == "reference"
         assert on.total_cycles == off.total_cycles
         assert on.thread_cycles == off.thread_cycles
         assert on.instructions == off.instructions
@@ -160,7 +166,7 @@ class TestFastPathKnobParity:
 
     @pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
     def test_knob_on_is_deterministic(self, name):
-        config = replace(PARITY_CONFIGS[name], fast_path=True)
+        config = PARITY_CONFIGS[name]
         prog = _parity_program()
         a = Machine(config).run(prog)
         b = Machine(config).run(prog)

@@ -1,16 +1,16 @@
-"""Differential proof: the fused fast path is cycle-exact.
+"""Differential proof: the fast path — the batch engine — is cycle-exact.
 
-Every test runs the same trace program through two machines that differ
-only in ``fast_path`` and asserts the *complete* observable output is
-identical: total and per-thread cycles, per-phase busy/wait cycles and
-spans, instruction counts, protocol counters, and the per-phase coherence
-attribution.  The randomized programs mix thread-private and shared
-addresses, locks, barriers and phase markers; the hand-built traces target
-the specific hazards the fast path must detect (a private run whose L1
-fill would evict a shared line, a store immediately before a barrier).
+Every test runs the same trace program through the reference interpreter
+(``Machine.run_reference``) and through ``Machine.run``, which takes the
+batch engine wherever its gates pass, and asserts the *complete*
+observable output is identical: total and per-thread cycles, per-phase
+busy/wait cycles and spans, instruction counts, protocol counters, and the
+per-phase coherence attribution.  The randomized programs mix
+thread-private and shared addresses, locks, barriers and phase markers;
+the hand-built traces target the specific hazards the batch engine must
+detect (a private run whose L1 fill would evict a shared line, a store
+immediately before a barrier).
 """
-
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,58 +22,24 @@ from repro.simx import (
     Load,
     Lock,
     Machine,
-    MachineConfig,
     PhaseBegin,
     PhaseEnd,
     Store,
     ThreadTrace,
     TraceProgram,
     Unlock,
+    batch_fallback,
+    supports_batch_path,
 )
-from repro.simx.config import CacheConfig
-from repro.simx.fastpath import Burst, compile_program, supports_fast_path
-
-LINE = 64
-
-
-def tiny_config(**overrides) -> MachineConfig:
-    defaults = dict(
-        n_cores=4,
-        l1d=CacheConfig(size=8 * LINE, ways=2),  # 4 sets x 2 ways: evicts early
-        l1i=CacheConfig(size=8 * LINE, ways=2),
-        l2=CacheConfig(size=64 * LINE, ways=4, hit_latency=12),
-    )
-    defaults.update(overrides)
-    return MachineConfig(**defaults)
-
-
-CONFIGS = {
-    "baseline-tiny": tiny_config(),
-    "msi": tiny_config(coherence_protocol="msi"),
-    "mesh": tiny_config(interconnect="mesh"),
-    "asymmetric": tiny_config(core_perf_factors=(2.0, 1.0, 1.0, 1.0)),
-    "bigger-l1": tiny_config(l1d=CacheConfig(size=64 * LINE, ways=4)),
-}
-
-
-def run_both(program_factory, config: MachineConfig):
-    fast = Machine(replace(config, fast_path=True)).run(program_factory())
-    ref = Machine(replace(config, fast_path=False)).run(program_factory())
-    return fast, ref
-
-
-def assert_identical(fast, ref):
-    assert fast.total_cycles == ref.total_cycles
-    assert fast.thread_cycles == ref.thread_cycles
-    assert fast.instructions == ref.instructions
-    assert fast.coherence == ref.coherence
-    fs, rs = fast.phase_stats, ref.phase_stats
-    assert {p: dict(t) for p, t in fs.busy.items() if any(t.values())} == \
-           {p: dict(t) for p, t in rs.busy.items() if any(t.values())}
-    assert {p: dict(t) for p, t in fs.wait.items() if any(t.values())} == \
-           {p: dict(t) for p, t in rs.wait.items() if any(t.values())}
-    assert fs.spans == rs.spans
-    assert fast.coherence_by_phase == ref.coherence_by_phase
+from repro.simx.batch import _Seg, compile_batch
+from tests.differential.engines import (
+    CONFIGS,
+    LINE,
+    assert_identical,
+    program_of,
+    run_ref_and_batch,
+    tiny_config,
+)
 
 
 # ── randomized programs ───────────────────────────────────────────────────
@@ -130,39 +96,33 @@ def trace_programs(draw):
     return threads
 
 
-def program_of(threads) -> TraceProgram:
-    return TraceProgram(
-        "diff", [ThreadTrace(i, list(ops)) for i, ops in enumerate(threads)]
-    )
-
-
 class TestRandomizedDifferential:
     """>=200 randomized programs across the config matrix."""
 
     @settings(max_examples=120, deadline=None)
     @given(threads=trace_programs())
     def test_tiny_config(self, threads):
-        assert_identical(*run_both(lambda: program_of(threads), CONFIGS["baseline-tiny"]))
+        assert_identical(*run_ref_and_batch(program_of(threads), CONFIGS["baseline-tiny"]))
 
     @settings(max_examples=40, deadline=None)
     @given(threads=trace_programs())
     def test_msi(self, threads):
-        assert_identical(*run_both(lambda: program_of(threads), CONFIGS["msi"]))
+        assert_identical(*run_ref_and_batch(program_of(threads), CONFIGS["msi"]))
 
     @settings(max_examples=40, deadline=None)
     @given(threads=trace_programs())
     def test_mesh(self, threads):
-        assert_identical(*run_both(lambda: program_of(threads), CONFIGS["mesh"]))
+        assert_identical(*run_ref_and_batch(program_of(threads), CONFIGS["mesh"]))
 
     @settings(max_examples=20, deadline=None)
     @given(threads=trace_programs())
     def test_asymmetric(self, threads):
-        assert_identical(*run_both(lambda: program_of(threads), CONFIGS["asymmetric"]))
+        assert_identical(*run_ref_and_batch(program_of(threads), CONFIGS["asymmetric"]))
 
     @settings(max_examples=20, deadline=None)
     @given(threads=trace_programs())
     def test_bigger_l1(self, threads):
-        assert_identical(*run_both(lambda: program_of(threads), CONFIGS["bigger-l1"]))
+        assert_identical(*run_ref_and_batch(program_of(threads), CONFIGS["bigger-l1"]))
 
 
 # ── hand-built adversarial traces ─────────────────────────────────────────
@@ -190,7 +150,7 @@ class TestAdversarialTraces:
             return TraceProgram("bail", threads)
 
         for name, cfg in CONFIGS.items():
-            assert_identical(*run_both(make, cfg))
+            assert_identical(*run_ref_and_batch(make(), cfg))
 
     def test_store_immediately_before_barrier(self):
         def make():
@@ -206,7 +166,7 @@ class TestAdversarialTraces:
                 threads.append(ThreadTrace(tid, ops))
             return TraceProgram("store-barrier", threads)
 
-        assert_identical(*run_both(make, CONFIGS["baseline-tiny"]))
+        assert_identical(*run_ref_and_batch(make(), CONFIGS["baseline-tiny"]))
 
     def test_lock_handoff_between_private_runs(self):
         def make():
@@ -226,7 +186,7 @@ class TestAdversarialTraces:
                 threads.append(ThreadTrace(tid, ops))
             return TraceProgram("lock-handoff", threads)
 
-        assert_identical(*run_both(make, CONFIGS["baseline-tiny"]))
+        assert_identical(*run_ref_and_batch(make(), CONFIGS["baseline-tiny"]))
 
     def test_single_thread_all_private(self):
         def make():
@@ -239,7 +199,7 @@ class TestAdversarialTraces:
             return TraceProgram("solo", [ThreadTrace(0, ops)])
 
         for cfg in CONFIGS.values():
-            assert_identical(*run_both(make, cfg))
+            assert_identical(*run_ref_and_batch(make(), cfg))
 
     def test_false_sharing_same_line_different_offsets(self):
         """Two threads write different bytes of one line — shared at line
@@ -252,9 +212,10 @@ class TestAdversarialTraces:
                 threads.append(ThreadTrace(tid, ops))
             return TraceProgram("false-sharing", threads)
 
-        fast, ref = run_both(make, CONFIGS["baseline-tiny"])
-        assert_identical(fast, ref)
-        comp = compile_program(make(), LINE)
+        ref, bat = run_ref_and_batch(make(), CONFIGS["baseline-tiny"])
+        assert bat.engine == "batch"
+        assert_identical(bat, ref)
+        comp = compile_batch(make(), LINE)
         assert comp.n_bursts == 0  # the line is shared: nothing may fuse
 
 
@@ -270,12 +231,11 @@ class TestCompilation:
              Store(0x2000 * LINE)],
         ]
         prog = program_of(prog_threads)
-        comp = compile_program(prog, LINE)
-        for tid, lowered in enumerate(comp.thread_ops):
+        comp = compile_batch(prog, LINE)
+        for tid, lowered in enumerate(comp.thread_entries):
             flat = []
             for entry in lowered:
-                if isinstance(entry, Burst):
-                    assert len(entry.ops) >= 2
+                if isinstance(entry, _Seg):
                     assert all(type(o) in (Compute, Load, Store) for o in entry.ops)
                     flat.extend(entry.ops)
                 else:
@@ -284,45 +244,45 @@ class TestCompilation:
 
     def test_shared_lines_are_never_fused(self):
         prog = program_of([[Load(0), Compute(1)], [Store(0), Compute(1)]])
-        comp = compile_program(prog, LINE)
+        comp = compile_batch(prog, LINE)
         assert comp.shared_lines == frozenset({0})
-        for lowered in comp.thread_ops:
+        for lowered in comp.thread_entries:
             for entry in lowered:
-                if isinstance(entry, Burst):
+                if isinstance(entry, _Seg):
                     assert all(type(o) is Compute for o in entry.ops)
 
     def test_fused_op_accounting(self):
         prog = program_of([[Compute(1), Compute(2), Compute(3)]])
-        comp = compile_program(prog, LINE)
+        comp = compile_batch(prog, LINE)
         assert comp.n_bursts == 1
         assert comp.n_fused_ops == 3
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, reason",
         [
-            dict(fast_path=False),
-            dict(dram="banked"),
-            dict(prefetch_next_line=True),
-            dict(bus_occupancy=2),
+            (dict(dram="banked"), "dram"),
+            (dict(prefetch_next_line=True), "prefetch"),
+            (dict(bus_occupancy=2), "bus_occupancy"),
         ],
-        ids=["knob-off", "banked-dram", "prefetch", "contended-bus"],
+        ids=["banked-dram", "prefetch", "contended-bus"],
     )
-    def test_unsafe_configs_fall_back(self, overrides):
+    def test_unsafe_configs_fall_back(self, overrides, reason):
         cfg = tiny_config(**overrides)
-        assert not supports_fast_path(cfg)
+        assert not supports_batch_path(cfg)
+        assert batch_fallback(cfg) == reason
 
     def test_max_cycles_forces_reference_path(self):
         cfg = tiny_config()
-        assert supports_fast_path(cfg, max_cycles=None)
-        assert not supports_fast_path(cfg, max_cycles=10_000)
+        assert supports_batch_path(cfg, max_cycles=None)
+        assert not supports_batch_path(cfg, max_cycles=10_000)
         # and the watchdog still fires
         prog = program_of([[Compute(1000) for _ in range(100)]])
         with pytest.raises(RuntimeError, match="max_cycles"):
             Machine(cfg).run(prog, max_cycles=50)
 
     def test_contended_bus_still_identical(self):
-        """Gated configs run the reference path under both knob settings —
-        results must (trivially) stay identical."""
+        """Gated configs run the reference path through both entry
+        points — results must (trivially) stay identical."""
 
         def make():
             threads = []
@@ -332,7 +292,9 @@ class TestCompilation:
                 threads.append(ThreadTrace(tid, ops))
             return TraceProgram("contended", threads)
 
-        assert_identical(*run_both(make, tiny_config(bus_occupancy=3)))
+        ref, got = run_ref_and_batch(make(), tiny_config(bus_occupancy=3))
+        assert got.engine == "reference"
+        assert_identical(got, ref)
 
     def test_mesh_and_msi_combined(self):
         def make():
@@ -347,4 +309,4 @@ class TestCompilation:
             return TraceProgram("mesh-msi", threads)
 
         cfg = tiny_config(interconnect="mesh", coherence_protocol="msi")
-        assert_identical(*run_both(make, cfg))
+        assert_identical(*run_ref_and_batch(make(), cfg))
