@@ -2,6 +2,6 @@
 
 import sys
 
-from repro.cli import main
+from repro.cli import entry_point
 
-sys.exit(main())
+sys.exit(entry_point())

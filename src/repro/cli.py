@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 
 from repro.core import merging, optimizer
@@ -58,7 +59,7 @@ from repro.experiments.registry import (
 )
 from repro.util.logging import configure, get_logger
 
-__all__ = ["main", "build_parser", "version_string"]
+__all__ = ["main", "entry_point", "build_parser", "version_string"]
 
 log = get_logger("cli")
 
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runall_p.add_argument(
         "--parallel", type=int, default=None, metavar="N",
-        help="worker processes (default: one per CPU, capped at 8)",
+        help="worker processes (default: one per usable CPU, capped at 8)",
     )
     runall_p.add_argument("--scale", type=float, default=None,
                           help="dataset scale for simulator-backed experiments (0..1]")
@@ -367,7 +368,8 @@ def _metrics_context(args: argparse.Namespace):
     prior_env = os.environ.get("REPRO_OBS")
     os.environ["REPRO_OBS"] = "1"
     try:
-        yield path
+        with obs.watching_gc():
+            yield path
     finally:
         if prior_env is None:
             os.environ.pop("REPRO_OBS", None)
@@ -390,24 +392,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not args.no_metrics:
         obs.set_enabled(True)
         os.environ["REPRO_OBS"] = "1"  # reach any spawned engine workers
-    return serve_server.run(ServeApp(cache_size=args.cache_size),
-                            host=args.host, port=args.port,
-                            idle_timeout=args.idle_timeout)
+    with obs.watching_gc():
+        return serve_server.run(ServeApp(cache_size=args.cache_size),
+                                host=args.host, port=args.port,
+                                idle_timeout=args.idle_timeout)
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
+    from repro import obs
     from repro.engine.chaos import NetChaos
     from repro.engine.remote import run_worker
 
     net_chaos = NetChaos.parse(args.chaos_net) if args.chaos_net else None
-    return run_worker(
-        args.connect,
-        name=args.name,
-        retry_for=args.retry_for,
-        imports=args.imports,
-        max_units=args.max_units,
-        net_chaos=net_chaos,
-    )
+    with obs.watching_gc():  # a no-op unless REPRO_OBS=1 enabled obs
+        return run_worker(
+            args.connect,
+            name=args.name,
+            retry_for=args.retry_for,
+            imports=args.imports,
+            max_units=args.max_units,
+            net_chaos=net_chaos,
+        )
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -747,5 +752,20 @@ def main(argv: "list[str] | None" = None) -> int:
     return 2  # pragma: no cover - argparse enforces choices
 
 
+def entry_point(argv: "list[str] | None" = None) -> int:
+    """Process entry point of ``python -m repro`` and ``repro-merging``.
+
+    Freezes the import-time heap (modules, classes, the experiment
+    registry) out of the cyclic garbage collector, then runs
+    :func:`main`.  Every later collection skips those objects, and engine
+    workers forked from this process inherit them frozen, so no worker
+    collection walks (or copy-on-write-faults) the parent's pages: the
+    pre-fork recipe of the :mod:`gc` docs.  :func:`main` itself never
+    freezes, because tests and embedders call it in-process many times.
+    """
+    gc.freeze()
+    return main(argv)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(entry_point())

@@ -42,7 +42,7 @@ except ImportError:  # pragma: no cover - CPython always ships it
 
 from repro import obs
 from repro.engine.events import EventLog
-from repro.engine.units import WorkUnit, execute
+from repro.engine.units import WorkUnit, collection_paused, execute
 
 __all__ = [
     "EngineError",
@@ -111,8 +111,14 @@ class RunInterrupted(EngineError):
 
 
 def default_workers() -> int:
-    """Default pool width: one per CPU, capped (parent merges serially)."""
-    return max(1, min(os.cpu_count() or 1, 8))
+    """Default pool width: one per usable CPU, capped (parent merges
+    serially).  Usable means the process's affinity mask where the
+    platform has one, so ``taskset`` and cgroup CPU pinning are honoured."""
+    if hasattr(os, "sched_getaffinity"):
+        n_cpus = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - macOS / Windows
+        n_cpus = os.cpu_count() or 1
+    return max(1, min(n_cpus, 8))
 
 
 def _worker_main(worker_id: int, task_q, result_q) -> None:
@@ -122,26 +128,29 @@ def _worker_main(worker_id: int, task_q, result_q) -> None:
         # drop them so drain() ships only this worker's own deltas
         obs.reset()
         obs.RECORDER.clear()
-    while True:
-        try:
-            task = task_q.get()
-        except (EOFError, OSError):  # parent went away / queue closed
-            return
-        if task is None:
-            return
-        key, kind, spec = task
-        try:
-            payload = execute(kind, spec)
-            # piggyback this unit's metric/span delta on the result tuple;
-            # drain() is None when observability is off, so the common case
-            # ships no extra bytes over the queue
-            result_q.put((worker_id, key, True, payload, obs.drain()))
-        except BaseException:  # noqa: BLE001 - full traceback to the parent
+    # a fork inherits the parent's hook; a spawned worker installs its own
+    with obs.watching_gc():
+        while True:
             try:
-                result_q.put((worker_id, key, False,
-                              traceback.format_exc(limit=30), obs.drain()))
-            except Exception:  # pragma: no cover - result queue gone
+                task = task_q.get()
+            except (EOFError, OSError):  # parent went away / queue closed
                 return
+            if task is None:
+                return
+            key, kind, spec = task
+            try:
+                with collection_paused():
+                    payload = execute(kind, spec)
+                # piggyback this unit's metric/span delta on the result
+                # tuple; drain() is None when observability is off, so the
+                # common case ships no extra bytes over the queue
+                result_q.put((worker_id, key, True, payload, obs.drain()))
+            except BaseException:  # noqa: BLE001 - full traceback to the parent
+                try:
+                    result_q.put((worker_id, key, False,
+                                  traceback.format_exc(limit=30), obs.drain()))
+                except Exception:  # pragma: no cover - result queue gone
+                    return
 
 
 class SerialPool:
@@ -172,7 +181,8 @@ class SerialPool:
                              label=unit.describe(), worker=-1, attempt=0)
             started = time.monotonic()
             try:
-                payload = execute(unit.kind, unit.spec)
+                with collection_paused():
+                    payload = execute(unit.kind, unit.spec)
             except Exception as exc:
                 # same report shape as the worker path: the full formatted
                 # traceback, so a degraded (serial) run is equally debuggable

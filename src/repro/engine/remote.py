@@ -94,7 +94,7 @@ from repro.engine.pool import (
     _UNIT_RETRIES,
     _UNITS_DONE,
 )
-from repro.engine.units import WorkUnit, execute
+from repro.engine.units import WorkUnit, collection_paused, execute
 from repro.util.logging import get_logger
 
 __all__ = [
@@ -708,7 +708,8 @@ def run_worker(
                 continue
             key = reply["key"]
             try:
-                payload = execute(reply["kind"], decode_spec(reply["spec"]))
+                with collection_paused():
+                    payload = execute(reply["kind"], decode_spec(reply["spec"]))
                 result = {"op": "result", "lease": reply["lease"], "key": key,
                           "ok": True, "payload": payload}
             except BaseException:  # noqa: BLE001 - traceback to coordinator

@@ -20,14 +20,28 @@ Executor resolution is lazy: worker processes look a kind up at
 execution time, importing :mod:`repro.engine.executors` (the built-ins)
 on first miss.  Extra kinds registered in the parent before the pool
 starts are inherited by workers under the default ``fork`` start method.
+
+The loops that run units back-to-back (pool workers, the serial pool,
+remote workers) execute each one inside :func:`collection_paused`: the
+simulator state a unit builds is acyclic and freed by reference
+counting, so the cyclic garbage collector walking it mid-unit is pure
+overhead (see "Garbage collection" in ``docs/engine.md``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
-__all__ = ["WorkUnit", "register_executor", "resolve_executor", "execute"]
+__all__ = [
+    "WorkUnit",
+    "register_executor",
+    "resolve_executor",
+    "execute",
+    "collection_paused",
+]
 
 #: kind -> executor(spec) -> JSON-serialisable payload dict
 _EXECUTORS: dict[str, Callable[[tuple], dict]] = {}
@@ -78,3 +92,22 @@ def resolve_executor(kind: str) -> Callable[[tuple], dict]:
 def execute(kind: str, spec: tuple) -> dict:
     """Run one unit in the current process (workers and the serial pool)."""
     return resolve_executor(kind)(spec)
+
+
+@contextlib.contextmanager
+def collection_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the body.
+
+    On exit, normal or by exception, the collector is left exactly as it
+    was found: re-enabled only if it was enabled on entry, so nesting and
+    entering with collection already disabled are both safe.  Cycles
+    created inside the body are not lost; the first collection after
+    exit frees them.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -11,7 +11,10 @@ The cross-cutting measurement layer for the whole reproduction (see
 * :mod:`repro.obs.export` — a Prometheus text exporter, the JSONL
   snapshot format behind ``--metrics-out`` / ``repro stats``, and the
   drain/merge shuttle that ships worker-process metrics back to the
-  engine parent.
+  engine parent;
+* :mod:`repro.obs.gcstats` — :func:`watching_gc`, per-generation
+  garbage-collection counts and seconds for CLI commands, ``serve`` and
+  engine workers.
 
 Instrumented layers: the simulator (per-run op/burst/cycle accounting),
 the engine scheduler and worker pools (unit latency, queue depth, event
@@ -29,6 +32,7 @@ from repro.obs.export import (
     render_stats,
     write_jsonl,
 )
+from repro.obs.gcstats import watching_gc
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     REGISTRY,
@@ -74,5 +78,6 @@ __all__ = [
     "snapshot",
     "span",
     "span_summary",
+    "watching_gc",
     "write_jsonl",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import bisect
 import os
 import threading
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.util.logging import get_logger
 
@@ -288,6 +288,7 @@ class MetricsRegistry:
     def __init__(self, enabled: "bool | None" = None):
         self.enabled = _env_enabled() if enabled is None else bool(enabled)
         self._families: dict[str, _Family] = {}
+        self._collectors: list[Callable[[], None]] = []
         self._lock = threading.Lock()
 
     # ── registration ──────────────────────────────────────────────────────
@@ -327,6 +328,18 @@ class MetricsRegistry:
         """The registered family called ``name``, or None."""
         return self._families.get(name)
 
+    def add_collector(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` before every :meth:`snapshot` and :meth:`reset`.
+
+        A collector folds values gathered where calling a mutator is
+        unsafe (a garbage-collector callback) into their families."""
+        if fn not in self._collectors:
+            self._collectors.append(fn)
+
+    def _collect(self) -> None:
+        for fn in self._collectors:
+            fn()
+
     # ── state management ──────────────────────────────────────────────────
 
     def enable(self) -> None:
@@ -337,6 +350,7 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Drop every recorded series (families stay registered)."""
+        self._collect()
         for fam in self._families.values():
             fam.clear()
 
@@ -344,6 +358,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> list[dict]:
         """JSON-able state of every family that has recorded series."""
+        self._collect()
         return [
             fam.to_dict()
             for _, fam in sorted(self._families.items())
