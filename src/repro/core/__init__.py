@@ -7,17 +7,11 @@ Quick tour
 >>> p = AppParams(f=0.999, fcon_share=0.60, fored_share=0.10)
 >>> round(float(merging.speedup_symmetric(p, n=256, r=4)), 1)  # paper: 104.5
 104.6
-
-``core.fitting`` (scipy least squares) is loaded on first attribute access,
-so importing the package does not import scipy.
 """
-
-import importlib
 
 from repro.core import (
     accuracy,
     amdahl,
-    bandwidth,
     classes,
     communication,
     critical,
@@ -33,8 +27,6 @@ from repro.core import (
     perf,
     requirements,
     scaled,
-    sensitivity,
-    uncore,
 )
 from repro.core.classes import TABLE3_CLASSES, AppClass
 from repro.core.growth import LINEAR, LOG, PARALLEL, GrowthFunction, resolve_growth
@@ -45,12 +37,10 @@ __all__ = [
     # submodules
     "accuracy",
     "amdahl",
-    "bandwidth",
     "classes",
     "communication",
     "critical",
     "energy",
-    "fitting",
     "gridkernels",
     "growth",
     "hill_marty",
@@ -62,8 +52,6 @@ __all__ = [
     "perf",
     "requirements",
     "scaled",
-    "sensitivity",
-    "uncore",
     # common types/constants
     "AppParams",
     "MeasuredParams",
@@ -81,9 +69,3 @@ __all__ = [
     "resolve_perf_law",
 ]
 
-
-def __getattr__(name: str):
-    # fitting imports scipy.optimize; load it on first access only
-    if name == "fitting":
-        return importlib.import_module(f"{__name__}.fitting")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,8 +17,7 @@ equivalents (BCEs):
 These are the *constant-serial-section* baselines that the paper's extended
 model (:mod:`repro.core.merging`) corrects.  We additionally provide the
 generalised asymmetric form used implicitly by the paper's Fig 5 Amdahl
-curves (small cores of ``r`` BCEs rather than 1), and Hill–Marty's dynamic
-CMP as an extension.
+curves (small cores of ``r`` BCEs rather than 1).
 
 All speedup functions are vectorised over their core-size argument.
 """
@@ -34,7 +33,6 @@ __all__ = [
     "speedup_symmetric",
     "speedup_asymmetric",
     "speedup_asymmetric_grouped",
-    "speedup_dynamic",
     "best_symmetric",
     "best_asymmetric",
 ]
@@ -128,27 +126,6 @@ def speedup_asymmetric_grouped(
     parallel_throughput = pr * (n - arr) / r + prl
     out = 1.0 / ((1.0 - f) / prl + f / parallel_throughput)
     return float(out) if np.asarray(rl).ndim == 0 else out
-
-
-def speedup_dynamic(
-    f: float,
-    n: int,
-    r: "float | np.ndarray",
-    perf: "str | PerfLaw | None" = None,
-) -> "float | np.ndarray":
-    """Hill–Marty *dynamic* CMP: serial sections run as one fused ``r``-BCE
-    core, parallel sections use all ``n`` BCEs.  An optimistic upper bound,
-    included for the ablation study (not evaluated in the paper).
-    """
-    check_fraction(f, "f")
-    n = check_positive_int(n, "n")
-    law = resolve_perf_law(perf)
-    arr = _as_r_array(r, "r")
-    if np.any(arr > n):
-        raise ValueError(f"dynamic core size r must be <= n={n}")
-    pr = np.asarray(law(arr), dtype=np.float64)
-    out = 1.0 / ((1.0 - f) / pr + f / n)
-    return float(out) if np.asarray(r).ndim == 0 else out
 
 
 def _power_of_two_sizes(n: int) -> np.ndarray:

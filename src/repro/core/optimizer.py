@@ -27,7 +27,6 @@ __all__ = [
     "optimal_r_map",
     "optimal_design_grid",
     "pareto_front",
-    "best_symmetric_continuous",
 ]
 
 
@@ -176,40 +175,6 @@ def optimal_design_grid(
             points.append(GridPoint("asym", float(r), float(rl), float(sp), cores))
     points.sort(key=lambda pt: pt.speedup, reverse=True)
     return points
-
-
-def best_symmetric_continuous(
-    params: AppParams,
-    n: int = 256,
-    growth: "str | GrowthFunction | None" = None,
-    perf: "str | PerfLaw | None" = None,
-) -> merging.SymmetricDesign:
-    """The speedup-maximising symmetric design over *continuous* core
-    sizes (the model is smooth in r; the paper samples powers of two).
-
-    Optimises over ``log2 r`` with scipy's bounded scalar minimiser, then
-    polishes against the grid optimum, so the result is never worse than
-    :func:`repro.core.merging.best_symmetric`.
-    """
-    from scipy.optimize import minimize_scalar
-
-    g = resolve_growth(growth)
-    law = resolve_perf_law(perf)
-
-    def negative_speedup(log2_r: float) -> float:
-        r = float(2.0**log2_r)
-        return -float(merging.speedup_symmetric(params, n, r, g, law))
-
-    result = minimize_scalar(
-        negative_speedup, bounds=(0.0, np.log2(n)), method="bounded",
-        options={"xatol": 1e-6},
-    )
-    r_cont = float(2.0 ** float(result.x))
-    sp_cont = -float(result.fun)
-    grid_best = merging.best_symmetric(params, n, g, law)
-    if grid_best.speedup > sp_cont:
-        return grid_best
-    return merging.SymmetricDesign(r=r_cont, speedup=sp_cont, n=n)
 
 
 def pareto_front(points: Sequence[GridPoint]) -> list[GridPoint]:

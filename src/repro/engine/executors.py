@@ -17,7 +17,6 @@ __all__ = [
     "SIM_PROGRAM",
     "HARDWARE_MODEL",
     "HARDWARE_PROCESS",
-    "MODEL_EVAL",
     "MODEL_EVAL_GRID",
 ]
 
@@ -29,8 +28,6 @@ SIM_PROGRAM = "sim-program"
 HARDWARE_MODEL = "hardware-model"
 #: one wall-clock execution on the host: (workload, n_threads)
 HARDWARE_PROCESS = "hardware-process"
-#: one model-layer evaluation: (function-ref, kwargs)
-MODEL_EVAL = "model-eval"
 #: one vectorized model evaluation over a whole grid: (function-ref, kwargs)
 MODEL_EVAL_GRID = "model-eval-grid"
 
@@ -60,12 +57,6 @@ def _run_hardware_process(spec: tuple) -> dict:
     return builders.execute_hardware_process(spec)
 
 
-def _run_model_eval(spec: tuple) -> dict:
-    from repro.pipeline import builders
-
-    return builders.execute_model_eval(spec)
-
-
 def _run_model_eval_grid(spec: tuple) -> dict:
     from repro.pipeline import builders
 
@@ -76,5 +67,4 @@ register_executor(SWEEP_POINT, _run_sweep_point)
 register_executor(SIM_PROGRAM, _run_sim_program)
 register_executor(HARDWARE_MODEL, _run_hardware_model)
 register_executor(HARDWARE_PROCESS, _run_hardware_process)
-register_executor(MODEL_EVAL, _run_model_eval)
 register_executor(MODEL_EVAL_GRID, _run_model_eval_grid)

@@ -73,7 +73,6 @@ __all__ = [
     "get_engine",
     "sweep_units",
     "execute_sweep_point",
-    "precompute_units",
     "workload_descriptor",
 ]
 
@@ -399,11 +398,6 @@ def _unit_cache_put(unit: WorkUnit, payload: dict) -> None:
     disk = _get_disk()
     if disk is not None:
         disk.put(unit.key, payload)
-
-
-def precompute_units(session, units: Iterable[WorkUnit]) -> None:
-    """Execute sweep units through ``session``, warming both cache tiers."""
-    session.run_units(units, cache_get=_unit_cache_get, cache_put=_unit_cache_put)
 
 
 def simulate_breakdowns(

@@ -13,7 +13,6 @@ memo -> disk store -> engine pool -> inline, in that order.
 from repro.pipeline.builders import (
     HARDWARE_MODEL,
     HARDWARE_PROCESS,
-    MODEL_EVAL,
     MODEL_EVAL_GRID,
     SIM_PROGRAM,
     breakdown_from_payload,
@@ -21,10 +20,8 @@ from repro.pipeline.builders import (
     hardware_process_units,
     hardware_units,
     model_eval_grid_unit,
-    model_eval_unit,
     sim_point_unit,
     sim_program_unit,
-    sim_sweep_units,
 )
 from repro.pipeline.runtime import (
     cache_get,
@@ -48,15 +45,12 @@ __all__ = [
     "SIM_PROGRAM",
     "HARDWARE_MODEL",
     "HARDWARE_PROCESS",
-    "MODEL_EVAL",
     "MODEL_EVAL_GRID",
-    "sim_sweep_units",
     "sim_point_unit",
     "sim_program_unit",
     "hardware_units",
     "hardware_model_units",
     "hardware_process_units",
-    "model_eval_unit",
     "model_eval_grid_unit",
     "breakdown_from_payload",
     "resolve_units",

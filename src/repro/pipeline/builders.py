@@ -19,15 +19,12 @@ an experiment can touch:
     One wall-clock run on the actual host.  Inherently nondeterministic,
     so the unit is **not** disk-cacheable: it still dedupes and journals
     within a run, but never outlives one.
-``model-eval``
-    One expensive model-layer evaluation (e.g. a grid point of the
-    conclusions sweep), named by function reference.  Not disk-cacheable
-    either: analytic results depend on unversioned model code.
 ``model-eval-grid``
     One *vectorized* model evaluation over a whole parameter grid (the
-    :mod:`repro.core.gridkernels` path): a single unit replaces a fan of
-    per-point ``model-eval`` units — e.g. the conclusions experiment's
-    48-point sweep is one numpy call.  Numpy arrays in the payload are
+    :mod:`repro.core.gridkernels` path), named by function reference:
+    e.g. the conclusions experiment's 48-point sweep is one numpy call.
+    Not disk-cacheable either: analytic results depend on unversioned
+    model code.  Numpy arrays in the payload are
     lowered to plain lists (float64 round-trips exactly through JSON),
     so grid payloads journal and resume like any other unit.
 
@@ -51,28 +48,23 @@ __all__ = [
     "SIM_PROGRAM",
     "HARDWARE_MODEL",
     "HARDWARE_PROCESS",
-    "MODEL_EVAL",
     "MODEL_EVAL_GRID",
-    "sim_sweep_units",
     "sim_point_unit",
     "sim_program_unit",
     "hardware_units",
     "hardware_model_units",
     "hardware_process_units",
-    "model_eval_unit",
     "model_eval_grid_unit",
     "breakdown_from_payload",
     "execute_sim_program",
     "execute_hardware_model",
     "execute_hardware_process",
-    "execute_model_eval",
     "execute_model_eval_grid",
 ]
 
 SIM_PROGRAM = "sim-program"
 HARDWARE_MODEL = "hardware-model"
 HARDWARE_PROCESS = "hardware-process"
-MODEL_EVAL = "model-eval"
 MODEL_EVAL_GRID = "model-eval-grid"
 
 #: bump when :func:`repro.hardware.executor.model_breakdown`'s pricing
@@ -107,22 +99,6 @@ def breakdown_from_payload(payload: dict) -> PhaseBreakdown:
 
 
 # ── simulator sweeps ──────────────────────────────────────────────────────
-
-
-def sim_sweep_units(
-    workload,
-    thread_counts: Iterable[int] = (1, 2, 4, 8, 16),
-    n_cores: int = 16,
-    mem_scale: int = 2,
-    config=None,
-) -> "list[WorkUnit]":
-    """A :func:`~repro.experiments.simsweep.simulate_breakdowns` sweep as
-    units (same defaults, same keys)."""
-    from repro.experiments import simsweep
-
-    return simsweep.sweep_units(
-        workload, thread_counts, n_cores=n_cores, mem_scale=mem_scale, config=config
-    )
 
 
 def sim_point_unit(workload, p: int, mem_scale: int, config) -> WorkUnit:
@@ -262,46 +238,15 @@ def hardware_units(
 # ── expensive model-layer evaluations ─────────────────────────────────────
 
 
-def model_eval_unit(fn: Callable, kwargs: dict, label: str = "") -> WorkUnit:
-    """One model-layer evaluation of ``fn(**kwargs)``.
-
-    ``fn`` must be a module-level function returning a JSON-serialisable
-    dict.  Results depend on unversioned model code, so the unit dedupes
-    and journals but is never persisted in the disk store.
-    """
-    ref = func_ref(fn)
-    key = SweepStore.key_for({
-        "kind": MODEL_EVAL,
-        "fn": ref,
-        "kwargs": dict(sorted(kwargs.items())),
-    })
-    return WorkUnit(
-        kind=MODEL_EVAL, key=key, spec=(ref, dict(kwargs)),
-        label=label or ref.rsplit(":", 1)[-1], cacheable=False,
-    )
-
-
-def execute_model_eval(spec: tuple) -> dict:
-    ref, kwargs = spec
-    payload = _resolve_ref(ref)(**kwargs)
-    if not isinstance(payload, dict):
-        raise TypeError(
-            f"model-eval function {ref} must return a dict payload, "
-            f"got {type(payload).__name__}"
-        )
-    return payload
-
-
 def model_eval_grid_unit(fn: Callable, kwargs: dict, label: str = "") -> WorkUnit:
     """One *vectorized* model evaluation over a whole parameter grid.
 
     ``fn`` must be a module-level function whose kwargs are plain data
     (floats, ints, strings, lists of floats) and whose return value is a
     dict of numpy arrays / nested dicts / scalars — the executor lowers
-    arrays to lists so the payload journals as JSON.  One grid unit
-    subsumes what would otherwise be a fan of per-point ``model-eval``
-    units; like them it dedupes and journals but never hits the disk
-    store (analytic results depend on unversioned model code).
+    arrays to lists so the payload journals as JSON.  The unit dedupes
+    and journals but never hits the disk store (analytic results depend
+    on unversioned model code).
     """
     ref = func_ref(fn)
     key = SweepStore.key_for({

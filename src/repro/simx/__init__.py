@@ -20,7 +20,7 @@ Typical use::
     result.phase_cycles("reduction")
 """
 
-from repro.simx.batch import batch_fallback, supports_batch_path
+from repro.simx.batch import batch_fallback
 from repro.simx.config import CacheConfig, CoreConfig, MachineConfig
 from repro.simx.machine import Machine, SimulationResult
 from repro.simx.sched import (
@@ -69,6 +69,5 @@ __all__ = [
     "AcmpScheduler",
     "build_scheduler",
     "batch_fallback",
-    "supports_batch_path",
     "supports_scheduling",
 ]

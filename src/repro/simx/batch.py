@@ -91,7 +91,7 @@ from repro.simx.trace import (
 )
 
 __all__ = [
-    "batch_fallback", "supports_batch_path", "compile_batch", "run_batch",
+    "batch_fallback", "compile_batch", "run_batch",
     "BatchProgram",
 ]
 
@@ -130,11 +130,6 @@ def batch_fallback(config: MachineConfig, max_cycles: "int | None" = None) -> "s
     if max_cycles is not None:
         return "max_cycles"
     return None
-
-
-def supports_batch_path(config: MachineConfig, max_cycles: "int | None" = None) -> bool:
-    """Whether the batch engine runs this configuration (no gate fails)."""
-    return batch_fallback(config, max_cycles) is None
 
 
 class _Seg:

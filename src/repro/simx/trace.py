@@ -147,8 +147,3 @@ class TraceProgram:
     @property
     def n_threads(self) -> int:
         return len(self.threads)
-
-
-def materialise(ops: Iterable[Op]) -> list[Op]:
-    """Force a (possibly lazy) op stream into a list — handy in tests."""
-    return list(ops)

@@ -78,16 +78,3 @@ class TestAsymmetric:
     def test_rejects_rl_bigger_than_chip(self):
         with pytest.raises(ValueError):
             hill_marty.speedup_asymmetric(0.9, 256, 300.0)
-
-
-class TestDynamic:
-    def test_dynamic_dominates_symmetric_and_asymmetric(self):
-        f, n = 0.99, 256
-        r = 64.0
-        dyn = hill_marty.speedup_dynamic(f, n, r)
-        assert dyn >= hill_marty.speedup_symmetric(f, n, r)
-        assert dyn >= hill_marty.speedup_asymmetric(f, n, r)
-
-    def test_dynamic_parallel_term_uses_all_bces(self):
-        # fully parallel work runs at n regardless of r
-        assert hill_marty.speedup_dynamic(1.0, 256, 16.0) == pytest.approx(256.0)

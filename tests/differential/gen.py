@@ -1,6 +1,6 @@
 """Seeded random trace-program generator for the differential harness.
 
-Unlike the hypothesis strategy in ``tests/simx/test_fastpath_differential``
+Unlike the hypothesis strategy in ``tests/simx/test_engine_differential``
 this generator is plain ``random.Random``, so the same programs can be
 replayed outside pytest — ``scripts/run_bench.py --fuzz-iters N`` drives
 it directly and CI pins seed matrices to exact programs.

@@ -7,10 +7,6 @@ protocol counters, per-phase busy/wait/span attribution and op
 accounting — must be identical.  Seeds are chunked so a failure names a
 narrow seed range that replays standalone via
 ``tests.differential.gen.generate_program(seed, mix)``.
-
-(``test_three_engines_cycle_identical`` keeps the name it had when a
-fused fast path ran as a third engine, so its seed-range IDs stay
-stable.)
 """
 
 import os
@@ -34,7 +30,7 @@ def test_corpus_meets_the_acceptance_bar():
 
 @pytest.mark.parametrize("start", range(0, SEEDS_PER_MIX, _CHUNK))
 @pytest.mark.parametrize("mix", MIXES)
-def test_three_engines_cycle_identical(mix, start):
+def test_engines_cycle_identical(mix, start):
     for seed in range(start, min(start + _CHUNK, SEEDS_PER_MIX)):
         config_name, cfg = _CONFIG_RING[seed % len(_CONFIG_RING)]
         program = generate_program(seed, mix)

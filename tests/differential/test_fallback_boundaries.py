@@ -21,7 +21,6 @@ from repro.simx import (
     Machine,
     Store,
     batch_fallback,
-    supports_batch_path,
 )
 from repro.simx.batch import compile_batch
 from tests.differential.engines import (
@@ -135,11 +134,10 @@ class TestConfigurationGates:
     def test_prefetch_falls_back(self):
         cfg = tiny_config(prefetch_next_line=True)
         assert batch_fallback(cfg) == "prefetch"
-        assert not supports_batch_path(cfg)
 
     def test_watchdog_falls_back(self):
         cfg = tiny_config()
-        assert supports_batch_path(cfg)
+        assert batch_fallback(cfg) is None
         assert batch_fallback(cfg, max_cycles=10_000) == "max_cycles"
         threads = [[Compute(100)]]
         got = Machine(cfg).run(program_of(threads), max_cycles=10_000)
@@ -170,4 +168,4 @@ class TestConfigurationGates:
 
     def test_every_differential_config_supports_batch(self):
         for name, cfg in CONFIGS.items():
-            assert supports_batch_path(cfg), name
+            assert batch_fallback(cfg) is None, name

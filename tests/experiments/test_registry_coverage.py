@@ -24,7 +24,7 @@ from repro.experiments.registry import (
 )
 from repro.engine.executors import SIM_PROGRAM, SWEEP_POINT
 from repro.pipeline import resolve_units
-from repro.simx import Machine, batch_fallback, supports_batch_path
+from repro.simx import Machine, batch_fallback
 
 #: one option set for the whole registry, as ``runall`` would pass it
 #: (fig2's claims index the 16-core point; ext-critical sweeps rl to 128)
@@ -134,7 +134,7 @@ def test_runall_pinned_simulations_take_the_batch_engine():
             if config.scheduler != "pinned":
                 continue
             checked += 1
-            assert supports_batch_path(config), (
+            assert batch_fallback(config) is None, (
                 f"{eid}: {unit.describe()} falls back to the reference "
                 f"engine ({batch_fallback(config)})"
             )

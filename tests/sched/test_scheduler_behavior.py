@@ -22,7 +22,6 @@ from repro.simx import (
     TraceProgram,
     build_scheduler,
     batch_fallback,
-    supports_batch_path,
     supports_scheduling,
 )
 from repro.simx.sched import (
@@ -185,7 +184,6 @@ class TestFallbackSeam:
 
     def test_fast_and_batch_paths_refuse_scheduled_configs(self):
         cfg = rr_config(2)
-        assert not supports_batch_path(cfg)
         assert batch_fallback(cfg) == "scheduler"
 
     def test_scheduled_run_lands_on_the_reference_engine(self):

@@ -14,7 +14,7 @@ from repro.simx import (
     Store,
     ThreadTrace,
     TraceProgram,
-    supports_batch_path,
+    batch_fallback,
 )
 from repro.simx.config import CacheConfig
 
@@ -91,12 +91,12 @@ class TestDeterminism:
         assert len(set(res.thread_cycles)) == 1
 
 
-# ── fast-path parity ──────────────────────────────────────────────────────
+# ── run vs reference parity ───────────────────────────────────────────────
 #
 # The engine choice may change throughput only, never results: every
 # machine configuration must produce bitwise-equal output through
-# `Machine.run` (the batch engine, the fast path, wherever its gates pass)
-# and `Machine.run_reference`.  Configurations the batch engine cannot
+# `Machine.run` (the batch engine, wherever its gates pass) and
+# `Machine.run_reference`.  Configurations the batch engine cannot
 # run (banked DRAM, contended bus, prefetch) take the gated fallback,
 # which must be exactly the reference path.  A deeper per-op differential
 # proof lives in tests/differential/; this is the regression tripwire
@@ -140,9 +140,9 @@ def _parity_program() -> TraceProgram:
     return TraceProgram("parity", threads)
 
 
-class TestFastPathKnobParity:
-    """The knob is the entry point: ``run`` takes the fast path (batch)
-    wherever the gates allow, ``run_reference`` never does."""
+class TestRunVsReferenceParity:
+    """``run`` takes the batch engine wherever the gates allow,
+    ``run_reference`` never does."""
 
     @pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
     def test_knob_never_changes_results(self, name):
@@ -150,7 +150,7 @@ class TestFastPathKnobParity:
         prog = _parity_program()
         on = Machine(config).run(prog)
         off = Machine(config).run_reference(prog)
-        assert on.engine == ("batch" if supports_batch_path(config)
+        assert on.engine == ("batch" if batch_fallback(config) is None
                              else "reference")
         assert off.engine == "reference"
         assert on.total_cycles == off.total_cycles

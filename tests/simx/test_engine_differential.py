@@ -1,4 +1,4 @@
-"""Differential proof: the fast path — the batch engine — is cycle-exact.
+"""Differential proof: the batch engine is cycle-exact.
 
 Every test runs the same trace program through the reference interpreter
 (``Machine.run_reference``) and through ``Machine.run``, which takes the
@@ -29,7 +29,6 @@ from repro.simx import (
     TraceProgram,
     Unlock,
     batch_fallback,
-    supports_batch_path,
 )
 from repro.simx.batch import _Seg, compile_batch
 from tests.differential.engines import (
@@ -268,13 +267,12 @@ class TestCompilation:
     )
     def test_unsafe_configs_fall_back(self, overrides, reason):
         cfg = tiny_config(**overrides)
-        assert not supports_batch_path(cfg)
         assert batch_fallback(cfg) == reason
 
     def test_max_cycles_forces_reference_path(self):
         cfg = tiny_config()
-        assert supports_batch_path(cfg, max_cycles=None)
-        assert not supports_batch_path(cfg, max_cycles=10_000)
+        assert batch_fallback(cfg, max_cycles=None) is None
+        assert batch_fallback(cfg, max_cycles=10_000) == "max_cycles"
         # and the watchdog still fires
         prog = program_of([[Compute(1000) for _ in range(100)]])
         with pytest.raises(RuntimeError, match="max_cycles"):

@@ -1,18 +1,22 @@
-"""Import budget: the CLI and the serve handlers load without scipy.
+"""Import budget: the CLI and the serve handlers load without scipy, and
+every third-party package ``src/repro`` imports is a declared dependency.
 
-scipy is only needed by ``repro.core.fitting`` and the HOP workload's
-kd-tree, so both import it on demand.  Each check runs in a fresh
-interpreter so modules imported by other tests cannot mask a regression.
+scipy is only needed by the HOP workload's kd-tree, which imports it on
+demand.  Each import check runs in a fresh interpreter so modules
+imported by other tests cannot mask a regression.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _run(code: str) -> str:
@@ -33,16 +37,42 @@ def test_import_loads_no_scipy(module):
     assert _run(f"import {module}; {_SCIPY_LOADED}") == "[]"
 
 
-def test_fitting_resolves_lazily():
-    out = _run(
-        "import sys, repro.core\n"
-        "assert 'scipy' not in sys.modules\n"
-        "fit = repro.core.fitting.fit_amdahl\n"
-        "from repro.core.fitting import fit_amdahl\n"
-        "assert fit is fit_amdahl and 'scipy.optimize' in sys.modules\n"
-        "print('ok')"
-    )
-    assert out == "ok"
+def _third_party_imports() -> "dict[str, set[str]]":
+    """Top-level third-party package -> the ``src/repro`` files importing it
+    (anywhere in the file, function-local imports included)."""
+    found: dict[str, set[str]] = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                if top != "repro" and top not in sys.stdlib_module_names:
+                    found.setdefault(top, set()).add(path.relative_to(SRC).as_posix())
+    return found
+
+
+def test_third_party_imports_are_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
+        for req in project["dependencies"]
+    }
+    undeclared = {
+        name: sorted(files)
+        for name, files in _third_party_imports().items()
+        if name.lower() not in declared
+    }
+    assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"
+
+
+def test_only_hop_imports_scipy():
+    assert _third_party_imports().get("scipy") == {"repro/workloads/hop.py"}
 
 
 def test_unknown_core_attribute_still_raises():
